@@ -163,84 +163,38 @@ void replay_point(const PointSpec& spec, const std::map<std::string, std::string
         ++totals.mismatches;
 }
 
-/// The cold campaign pass rebuilt from run_campaign's public parts
-/// (expand, cache lookup, compute_campaign_point on the same static
-/// blocks, cache store, render), with each call timed. Returns the artifact.
-std::string traced_campaign_pass(const Config& config, const Setup& setup, Outcome& out,
-                                 double& wall) {
-    const std::string dir = fresh_dir(config, "atlas-traced");
+/// Times scenario::compute_campaign_point on every point, one after
+/// another on this thread, and checks each result against the artifact.
+/// parallel_efficiency divides the summed point times by `cold_wall` x
+/// kWorkers, with `cold_wall` the wall time of run_campaign's own cold
+/// pass on the pool: a change to the campaign's schedule moves it.
+void time_campaign_points(const Setup& setup, const std::vector<PointSpec>& specs,
+                          const std::vector<std::map<std::string, std::string>>& expected,
+                          double cold_wall, Outcome& out) {
     const Scenario* scenario = find(setup.manifest.scenario);
-    const ResultCache cache(dir);
-    const int epoch = cache.combined_epoch(scenario->epoch);
-    std::string artifact;
-    const double t0 = now_s();
-    {
-        const trace::Span pass("campaign.pass", trace::Layer::Scenario);
-        const trace::Link pass_link = pass.link();
-        CampaignOutcome outcome;
-        std::vector<PointSpec> specs;
-        {
-            const trace::Span s("manifest.expand", trace::Layer::Scenario);
-            specs = expand(setup.manifest);
-        }
-        outcome.total_points = specs.size();
-        std::vector<std::size_t> missing;
-        for (const PointSpec& spec : specs) {
-            CampaignPoint point;
-            point.spec = spec;
-            const trace::Span s("cache.lookup", trace::Layer::Scenario);
-            if (auto hit = cache.lookup(CacheKey{setup.manifest.scenario, epoch, spec.params})) {
-                point.result = std::move(*hit);
-                point.from_cache = true;
-            } else {
-                missing.push_back(outcome.points.size());
-            }
-            outcome.points.push_back(std::move(point));
-        }
-        const auto block = [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t j = lo; j < hi; ++j) {
-                CampaignPoint& point = outcome.points[missing[j]];
-                {
-                    const trace::Span s("campaign.point", trace::Layer::Scenario, pass_link);
-                    point.result = compute_campaign_point(*scenario, point.spec);
-                }
-                if (point.result.exit_code == 0) {
-                    const trace::Span s("cache.store", trace::Layer::Scenario, pass_link);
-                    cache.store(CacheKey{setup.manifest.scenario, epoch, point.spec.params},
-                                point.result);
-                }
-            }
-        };
-        parallel_for_blocks(setup.pool.get(), missing.size(), 1, block);
-        for (const CampaignPoint& point : outcome.points) {
-            point.from_cache ? ++outcome.cached : ++outcome.computed;
-            if (point.result.exit_code != 0) ++outcome.failed;
-        }
-        const trace::Span s("render", trace::Layer::Scenario);
-        artifact = outcome.to_json(setup.manifest);
-        out.set("cache.hits", static_cast<double>(outcome.cached), "count");
-        out.set("cache.misses", static_cast<double>(outcome.computed), "count");
-    }
-    wall = now_s() - t0;
-    const std::vector<double> point_s = trace::summarize().by_name["campaign.point"].durations_s;
     double sum = 0.0;
     double max = 0.0;
-    for (const double s : point_s) {
-        sum += s;
-        max = std::max(max, s);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const double t0 = now_s();
+        const CachedResult result = compute_campaign_point(*scenario, specs[i]);
+        const double dt = now_s() - t0;
+        sum += dt;
+        max = std::max(max, dt);
+        if (result.exit_code != 0 || result.metrics != expected[i]) ++mismatches;
     }
+    out.check(mismatches == 0,
+              "compute_campaign_point, run serially, reproduces every point of the artifact");
     out.set("campaign.point_s_max", max, "s");
     out.set("campaign.point_s_sum", sum, "s");
-    out.set("campaign.parallel_efficiency", sum / (wall * kWorkers), "ratio");
-    remove_tree(dir);
-    return artifact;
+    out.set("campaign.parallel_efficiency", sum / (cold_wall * kWorkers), "ratio");
 }
 
 } // namespace
 
 void run_atlas(const Config& config, Outcome& out) {
     const std::string file = config.smoke ? "atlas_smoke.json" : "atlas_phase_transition.json";
-    const Setup setup = measure_setup<Setup>(config.trace, out, [&] {
+    SetupTimer<Setup> setups(config.trace, [&] {
         Setup s;
         s.text = derived_manifest(config, file, config.seed);
         s.manifest = parse_manifest(s.text, file);
@@ -248,38 +202,48 @@ void run_atlas(const Config& config, Outcome& out) {
         s.pool = std::make_unique<ThreadPool>(kWorkers);
         return s;
     });
+    const Setup& setup = setups.state();
 
     CampaignOptions options;
     options.pool = setup.pool.get();
 
-    // One cold request; returns the artifact and the cache it warmed.
-    const auto cold_request = [&](double& wall, double& cpu, std::uint64_t& trials) {
+    // One cold request into a fresh cache (left warm in options.cache_dir).
+    struct Cold {
+        std::string artifact;
+        double wall = 0.0, cpu = 0.0;
+        std::uint64_t trials = 0;
+        std::size_t hits = 0, misses = 0;
+    };
+    const auto cold_request = [&] {
         options.cache_dir = fresh_dir(config, "atlas-cache");
+        Cold cold;
         const double c0 = cpu_s();
         const double t0 = now_s();
         const CampaignOutcome outcome = run_campaign(setup.manifest, options);
-        std::string artifact = outcome.to_json(setup.manifest);
-        wall = now_s() - t0;
-        cpu = cpu_s() - c0;
-        trials = sum_metric(outcome, "trials_total");
+        cold.artifact = outcome.to_json(setup.manifest);
+        cold.wall = now_s() - t0;
+        cold.cpu = cpu_s() - c0;
+        cold.trials = sum_metric(outcome, "trials_total");
+        cold.hits = outcome.cached;
+        cold.misses = outcome.computed;
         out.op(outcome.failed == 0 && outcome.computed == setup.points);
-        return artifact;
+        return cold;
     };
 
     std::string reference;
     if (!config.trace) {
         PassSeries series;
-        std::vector<double> hot_ms;  // every pass's, for the pooled tail
+        std::vector<double> hot_ms;  // every pass's, for the pooled percentiles
+        double hot_total_s = 0.0;
         int passes = 0;
         bool identical = true;
         run_passes(config.seconds, config.smoke ? 1 : 3, [&](int) {
-            double wall = 0.0, cpu = 0.0;
-            std::uint64_t trials = 0;
-            const std::string artifact = cold_request(wall, cpu, trials);
+            const Cold cold = cold_request();
+            const std::string& artifact = cold.artifact;
+            const double wall = cold.wall;
             if (reference.empty()) reference = artifact;
             identical = identical && artifact == reference;
-            std::vector<double> pass_hot;
-            const double hot_s = hot_requests(config.smoke ? 3 : kHotPerPass, pass_hot, [&] {
+            hot_total_s += hot_requests(config.smoke ? 3 : kHotPerPass, hot_ms, [&] {
                 const CampaignOutcome warm = run_campaign(setup.manifest, options);
                 out.op(warm.cached == setup.points && warm.to_json(setup.manifest) == artifact);
             });
@@ -287,41 +251,36 @@ void run_atlas(const Config& config, Outcome& out) {
             series.add("wall_s", wall, "s");
             series.add("artifact_s", wall, "s");
             series.add("cold_rt_p50_ms", wall * 1e3, "ms");
-            series.add("cpu_s", cpu, "s");
-            series.add("trials_per_s", static_cast<double>(trials) / wall, "1/s");
-            series.add("rt_p50_ms", quantile(pass_hot, 0.5), "ms");
-            series.add("req_per_s", static_cast<double>(pass_hot.size()) / hot_s, "1/s");
-            hot_ms.insert(hot_ms.end(), pass_hot.begin(), pass_hot.end());
+            series.add("cpu_s", cold.cpu, "s");
+            series.add("trials_per_s", static_cast<double>(cold.trials) / wall, "1/s");
             ++passes;
-        });
+        }, [&](double pass_s) { setups.after_pass(pass_s); });
         out.check(identical, "every cold pass rendered the same artifact; warm re-runs "
                              "were all cache hits and byte-identical");
         series.report_best(out);
+        out.set("rt_p50_ms", quantile(hot_ms, 0.5), "ms");
         out.set("rt_p99_ms", quantile(hot_ms, 0.99), "ms");
+        out.set("req_per_s", static_cast<double>(hot_ms.size()) / hot_total_s, "1/s");
         out.note("atlas-cold: " + std::to_string(passes) + " cold requests, " +
                  std::to_string(hot_ms.size()) + " warm requests");
     } else {
-        // Attribution: (1) the cold pass rebuilt from public calls on the
-        // same pool, for the campaign schedule; (2) a serial replay of every
-        // point, untraced then traced, for the per-trial split.
-        double wall = 0.0, cpu = 0.0;
-        std::uint64_t trials = 0;
-        reference = cold_request(wall, cpu, trials);
+        // Attribution: (1) run_campaign's cold pass on the pool, then every
+        // point computed serially, for the campaign schedule; (2) a serial
+        // replay of every point, untraced then traced, for the per-trial split.
+        const Cold cold = cold_request();
+        reference = cold.artifact;
         const std::string cache_dir = options.cache_dir;
-        trace::set_enabled(true);
-        double traced_pass_wall = 0.0;
-        const std::string mirrored = traced_campaign_pass(config, setup, out, traced_pass_wall);
-        out.check(mirrored == reference,
-                  "campaign rebuilt from public calls renders the run_campaign artifact");
-
+        out.set("cache.hits", static_cast<double>(cold.hits), "count");
+        out.set("cache.misses", static_cast<double>(cold.misses), "count");
         const std::vector<PointSpec> specs = expand(setup.manifest);
         const auto expected = artifact_point_metrics(reference);
+        time_campaign_points(setup, specs, expected, cold.wall, out);
+
         const auto replay = [&](ReplayTotals& totals) {
             const trace::Span lane("replay", trace::Layer::Bench, trace::Span::Kind::Lane);
             for (std::size_t i = 0; i < specs.size(); ++i)
                 replay_point(specs[i], expected[i], totals);
         };
-        trace::set_enabled(false);
         ReplayTotals untraced;
         double t0 = now_s();
         replay(untraced);
@@ -370,6 +329,7 @@ void run_atlas(const Config& config, Outcome& out) {
         out.note(std::string("atlas artifact hash ") + hex +
                  " (no stored hash for this seed; identity checks only)");
     }
+    setups.report(out);
 }
 
 } // namespace e2e

@@ -180,7 +180,7 @@ PassResult fabric_pass(const Config& config, const Setup& setup, Outcome& out) {
 } // namespace
 
 void run_fabric(const Config& config, Outcome& out) {
-    const Setup setup = measure_setup<Setup>(config.trace, out, [&] {
+    SetupTimer<Setup> setups(config.trace, [&] {
         Setup s;
         // Several hundred light points: 9 densities x 3 tori x repetitions.
         s.text = derived_manifest(config, "ci_smoke.json", config.seed,
@@ -196,6 +196,7 @@ void run_fabric(const Config& config, Outcome& out) {
         s.trials = kTrialsPerPoint * scenario::expand(s.manifest).size();
         return s;
     });
+    const Setup& setup = setups.state();
 
     // The placement-independence reference: a local run of the manifest.
     const auto local_artifact = [&] {
@@ -209,7 +210,7 @@ void run_fabric(const Config& config, Outcome& out) {
 
     if (!config.trace) {
         PassSeries series;
-        std::vector<double> hot_ms;  // every pass's, for the pooled tail
+        std::vector<double> hot_ms;  // every pass's, for the pooled percentiles
         int passes = 0;
         std::string reference;
         bool identical = true;
@@ -219,8 +220,7 @@ void run_fabric(const Config& config, Outcome& out) {
             identical = identical && r.artifact_text == reference;
             // Hot requests: `dynamo coordinate` restarted on the settled
             // cache + checkpoint renders without serving a single lease.
-            std::vector<double> pass_hot;
-            hot_requests(config.smoke ? 2 : kHotPerPass, pass_hot, [&] {
+            hot_requests(config.smoke ? 2 : kHotPerPass, hot_ms, [&] {
                 dist::CoordinatorOptions options;
                 options.cache_dir = r.dir;
                 options.checkpoint = r.checkpoint;
@@ -234,15 +234,14 @@ void run_fabric(const Config& config, Outcome& out) {
             series.add("cold_rt_p50_ms", r.artifact * 1e3, "ms");
             series.add("trials_per_s", static_cast<double>(setup.trials) / r.artifact, "1/s");
             series.add("req_per_s", static_cast<double>(r.requests) / r.artifact, "1/s");
-            series.add("rt_p50_ms", quantile(pass_hot, 0.5), "ms");
-            hot_ms.insert(hot_ms.end(), pass_hot.begin(), pass_hot.end());
             ++passes;
-        });
+        }, [&](double pass_s) { setups.after_pass(pass_s); });
         out.check(identical && reference == local_artifact(),
                   "every fabric artifact byte-identical to a local run_campaign artifact");
         out.check(out.failed == 0,
                   "every pass: 0 conflicts, 0 failed points, both workers exited clean");
         series.report_best(out);
+        out.set("rt_p50_ms", quantile(hot_ms, 0.5), "ms");
         out.set("rt_p99_ms", quantile(hot_ms, 0.99), "ms");
         out.note("fabric-many: " + std::to_string(passes) + " coordinated campaigns of " +
                  std::to_string(scenario::expand(setup.manifest).size()) + " points, " +
@@ -277,6 +276,7 @@ void run_fabric(const Config& config, Outcome& out) {
         scenario_io_replay(config, setup.text, traced.dir, traced.artifact_text, out);
         remove_tree(traced.dir);
     }
+    setups.report(out);
 }
 
 } // namespace e2e

@@ -1,8 +1,8 @@
 // e2ebench: the repository's end-to-end benchmark.
 //
-//   e2ebench --workload NAME --seed N --seconds S --trace 0|1
-//            [--smoke] [--root DIR] [--scratch DIR] [--stamp TEXT]
-//            [--results FILE] [--trace-out FILE]
+//   e2ebench --workload NAME --seed N --seconds S --trace 0|1 --scratch DIR
+//            [--smoke] [--root DIR] [--stamp TEXT] [--results FILE]
+//            [--trace-out FILE]
 //
 // Runs one workload (atlas-cold, serve-mixed, fabric-many, search-graph)
 // in this process, checks its outputs, and prints one JSON object as the
@@ -19,7 +19,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unistd.h>
 
 #include "common.hpp"
 #include "workloads.hpp"
@@ -58,7 +57,7 @@ std::string cpu_model() {
 
 int usage() {
     std::cerr << "usage: e2ebench --workload atlas-cold|serve-mixed|fabric-many|search-graph "
-                 "--seed N --seconds S --trace 0|1 [--smoke] [--root DIR] [--scratch DIR] "
+                 "--seed N --seconds S --trace 0|1 --scratch DIR [--smoke] [--root DIR] "
                  "[--stamp TEXT] [--results FILE] [--trace-out FILE]\n";
     return 2;
 }
@@ -115,9 +114,8 @@ int main(int argc, char** argv) {
         std::cerr << "e2ebench: " << e.what() << "\n";
         return usage();
     }
-    if (!have_workload || !have_seed || !have_seconds || !have_trace) return usage();
-    if (config.scratch.empty())
-        config.scratch = config.root + "/.bench_build/scratch/" + std::to_string(::getpid());
+    if (!have_workload || !have_seed || !have_seconds || !have_trace || config.scratch.empty())
+        return usage();
 
     Outcome out;
     try {

@@ -24,10 +24,10 @@ using dynamo::util::Json;
 using dynamo::util::JsonObject;
 
 constexpr unsigned kWorkers = 4;
-constexpr int kHotPerPass = 500;
-/// The graph point: sized so one cold pass takes a few seconds.
+constexpr int kHotPerPass = 2000;
+/// The graph point: sized so one cold pass takes about a second.
 constexpr std::uint64_t kGraphVertices = 100000;
-constexpr std::uint64_t kGraphTrials = 8;
+constexpr std::uint64_t kGraphTrials = 4;
 constexpr std::uint64_t kGraphSeed = 97251;  ///< the scenario's default seed
 
 /// BENCH_search_scaling.json's canonical arms (serial == pooled).
@@ -135,7 +135,7 @@ void replay(const std::vector<PointSpec>& search_specs, const std::vector<PointS
 } // namespace
 
 void run_search_graph(const Config& config, Outcome& out) {
-    const Setup setup = measure_setup<Setup>(config.trace, out, [&] {
+    SetupTimer<Setup> setups(config.trace, [&] {
         Setup s;
         std::map<std::string, std::string> overrides;
         if (config.smoke) overrides["grid.max-size"] = "[2, 4]";
@@ -146,6 +146,7 @@ void run_search_graph(const Config& config, Outcome& out) {
         s.pool = std::make_unique<ThreadPool>(kWorkers);
         return s;
     });
+    const Setup& setup = setups.state();
 
     CampaignOptions options;
     options.pool = setup.pool.get();
@@ -169,7 +170,8 @@ void run_search_graph(const Config& config, Outcome& out) {
     std::string search_ref, graph_ref;
     if (!config.trace) {
         PassSeries series;
-        std::vector<double> hot_ms;  // every pass's, for the pooled tail
+        std::vector<double> hot_ms;  // every pass's, for the pooled percentiles
+        double hot_total_s = 0.0;
         int passes = 0;
         bool identical = true;
         run_passes(config.seconds, config.smoke ? 1 : 3, [&](int) {
@@ -191,8 +193,7 @@ void run_search_graph(const Config& config, Outcome& out) {
                 graph_ref = graph_artifact;
             }
             identical = identical && search_artifact == search_ref && graph_artifact == graph_ref;
-            std::vector<double> pass_hot;
-            const double hot_s = hot_requests(config.smoke ? 3 : kHotPerPass, pass_hot, [&] {
+            hot_total_s += hot_requests(config.smoke ? 3 : kHotPerPass, hot_ms, [&] {
                 std::string s2, g2;
                 const bool ok = request(false, s2, g2);
                 out.op(ok && s2 == search_artifact && g2 == graph_artifact);
@@ -203,15 +204,14 @@ void run_search_graph(const Config& config, Outcome& out) {
             series.add("cold_rt_p50_ms", wall * 1e3, "ms");
             series.add("cpu_s", cpu, "s");
             series.add("trials_per_s", static_cast<double>(graph_trials) / wall, "1/s");
-            series.add("rt_p50_ms", quantile(pass_hot, 0.5), "ms");
-            series.add("req_per_s", static_cast<double>(pass_hot.size()) / hot_s, "1/s");
-            hot_ms.insert(hot_ms.end(), pass_hot.begin(), pass_hot.end());
             ++passes;
-        });
+        }, [&](double pass_s) { setups.after_pass(pass_s); });
         out.check(identical, "every cold pass rendered the same two artifacts; warm re-runs "
                              "were all cache hits and byte-identical");
         series.report_best(out);
+        out.set("rt_p50_ms", quantile(hot_ms, 0.5), "ms");
         out.set("rt_p99_ms", quantile(hot_ms, 0.99), "ms");
+        out.set("req_per_s", static_cast<double>(hot_ms.size()) / hot_total_s, "1/s");
         out.note("search-graph: " + std::to_string(passes) + " cold requests, " +
                  std::to_string(hot_ms.size()) + " warm requests");
     } else {
@@ -263,6 +263,7 @@ void run_search_graph(const Config& config, Outcome& out) {
               "search counts equal BENCH_search_scaling.json's canonical arms (sims " +
                   last.at("sims") + ", covered " + last.at("covered") + ", min_size " +
                   last.at("min_size") + ")");
+    setups.report(out);
 }
 
 } // namespace e2e

@@ -34,7 +34,7 @@ using dynamo::util::Json;
 
 constexpr unsigned kServicePool = 2;
 constexpr unsigned kClients = 2;
-constexpr std::size_t kRoundTripsPerPass = 2000;
+constexpr std::size_t kRoundTripsPerPass = 500;
 constexpr std::size_t kColdEvery = 10;     ///< round trip i is cold when i % 10 == 9
 constexpr std::size_t kListEvery = 20;     ///< GET /campaigns before round trip i % 20 == 0
 constexpr std::size_t kHealthEvery = 10;   ///< GET /healthz before round trip i % 10 == 5
@@ -148,8 +148,13 @@ PassResult serve_pass(const Config& config, const Setup& setup, int pass, Outcom
     const double c0 = cpu_s();
     const double t0 = now_s();
     {
-        // A fresh pool per pass, like a fresh `dynamo serve`: threads kept
-        // across passes would keep whatever CPUs they first landed on.
+        // Every thread of the pass (pool, server, runner, clients) shares
+        // one CPU, the next in the rotation. Spread over the VM's CPUs, each
+        // hand-off between threads waits for another virtual CPU to run,
+        // and pass times across runs split between about 0.3 s and 1.5 s
+        // with the host's load. A fresh pool per pass, like a fresh
+        // `dynamo serve`.
+        const PinToNextCpu pin;
         ThreadPool pool(kServicePool);
         service::ServiceOptions options;
         options.cache_dir = setup.cache_dir;
@@ -299,7 +304,7 @@ double idle_peer_stall(const Setup& setup) {
 } // namespace
 
 void run_serve(const Config& config, Outcome& out) {
-    const Setup setup = measure_setup<Setup>(config.trace, out, [&] {
+    SetupTimer<Setup> setups(config.trace, [&] {
         Setup s;
         s.cache_dir = fresh_dir(config, "serve-cache");
         ThreadPool pool(kServicePool);
@@ -316,6 +321,7 @@ void run_serve(const Config& config, Outcome& out) {
         }
         return s;
     });
+    const Setup& setup = setups.state();
 
     if (!config.trace) {
         PassSeries series;
@@ -332,12 +338,15 @@ void run_serve(const Config& config, Outcome& out) {
             series.add("artifact_s", r.artifact, "s");
             series.add("trials_per_s", static_cast<double>(r.trials) / r.artifact, "1/s");
             series.add("req_per_s", static_cast<double>(r.requests) / r.artifact, "1/s");
+            // Best pass, not pooled like the other workloads' warm requests:
+            // these round trips spread over the whole pass, and a fresh
+            // server's first passes run slower.
             series.add("rt_p50_ms", quantile(r.hot_ms, 0.5), "ms");
             series.add("cold_rt_p50_ms", quantile(r.cold_ms, 0.5), "ms");
             hot_ms.insert(hot_ms.end(), r.hot_ms.begin(), r.hot_ms.end());
             cold_ms.insert(cold_ms.end(), r.cold_ms.begin(), r.cold_ms.end());
             ++passes;
-        });
+        }, [&](double pass_s) { setups.after_pass(pass_s); });
         out.check(http_ok, "every /healthz and GET /campaigns answered 200");
         out.check(mismatches == 0, std::to_string(cold_ms.size()) +
                                        " cold reports byte-identical to the locally "
@@ -394,6 +403,7 @@ void run_serve(const Config& config, Outcome& out) {
                            out);
     }
     remove_tree(setup.cache_dir);
+    setups.report(out);
 }
 
 } // namespace e2e

@@ -116,11 +116,14 @@ void PassSeries::report_best(Outcome& out) const {
     }
 }
 
-int run_passes(double seconds, int min_passes, const std::function<void(int)>& pass) {
+int run_passes(double seconds, int min_passes, const std::function<void(int)>& pass,
+               const std::function<void(double)>& between) {
     const double start = now_s();
     int passes = 0;
     while (passes < min_passes || now_s() - start < seconds) {
+        const double t0 = now_s();
         pass(passes++);
+        between(now_s() - t0);
         // Hand freed heap back to the OS so peak_rss_mb measures one pass,
         // not how the allocator's free lists happen to fragment over many.
         ::malloc_trim(0);
@@ -269,9 +272,18 @@ void report_trace(const Config& config, const trace::Summary& summary, double tr
              std::to_string(summary.lanes) + " lane(s), self-time sum " +
              std::to_string(self_sum) + " s vs lanes x traced wall " + std::to_string(expected) +
              " s, overhead " + std::to_string(traced_wall - untraced_wall) + " s");
-    out.check(summary.lanes > 0 && error <= kSelfSumTolerance,
-              "layer self times sum to lanes x traced wall within " +
-                  std::to_string(static_cast<int>(kSelfSumTolerance * 100)) + "%");
+    // With several lanes (client or worker threads) the lanes are timed
+    // apart from the pass wall, so the sum can miss it: a lane that does
+    // not cover the pass, or a span counted twice. A single lane is opened
+    // inside the timed call, so its self times sum to the wall by
+    // construction and there is nothing to check.
+    if (summary.lanes > 1) {
+        out.check(error <= kSelfSumTolerance,
+                  "layer self times sum to lanes x traced wall within " +
+                      std::to_string(static_cast<int>(kSelfSumTolerance * 100)) + "%");
+    } else {
+        out.check(summary.lanes == 1, "the traced pass ran in one lane");
+    }
     if (!config.trace_out.empty()) trace::write_records(config.trace_out);
 }
 

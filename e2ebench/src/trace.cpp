@@ -46,7 +46,6 @@ struct State {
     std::unordered_map<const char*, Aggregate> by_name;
     std::unordered_map<std::uint64_t, std::int64_t> remote_child_ns;
     std::array<std::int64_t, kLayers> lane_self_ns{};
-    std::int64_t lane_ns = 0;
     std::size_t lanes = 0;
 };
 
@@ -78,17 +77,6 @@ const char* layer_name(Layer layer) {
 
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void reset() {
-    State& s = state();
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    s.records.clear();
-    s.by_name.clear();
-    s.remote_child_ns.clear();
-    s.lane_self_ns.fill(0);
-    s.lane_ns = 0;
-    s.lanes = 0;
-}
 
 Link current() {
     if (t_stack.empty()) return {};
@@ -158,10 +146,7 @@ Span::~Span() {
         }
     }
     if (frame.lane) s.lane_self_ns[static_cast<std::size_t>(frame.layer)] += self;
-    if (frame.lane_root) {
-        s.lane_ns += duration;
-        ++s.lanes;
-    }
+    if (frame.lane_root) ++s.lanes;
     Aggregate& agg = s.by_name[frame.name];
     ++agg.count;
     agg.total_ns += duration;
@@ -185,7 +170,6 @@ Summary summarize() {
     }
     for (std::size_t i = 0; i < kLayers; ++i)
         out.lane_self_s[i] = static_cast<double>(s.lane_self_ns[i]) * 1e-9;
-    out.lane_s = static_cast<double>(s.lane_ns) * 1e-9;
     out.lanes = s.lanes;
     out.records = s.records.size();
     return out;

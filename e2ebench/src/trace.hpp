@@ -50,8 +50,6 @@ struct Link {
 
 void set_enabled(bool on);
 bool enabled();
-/// Drops every record and aggregate (between the untraced and traced passes).
-void reset();
 
 class Span {
   public:
@@ -88,7 +86,6 @@ struct NameStats {
 struct Summary {
     std::map<std::string, NameStats> by_name;
     std::array<double, kLayers> lane_self_s{};  ///< self time inside lane trees
-    double lane_s = 0.0;                        ///< summed lane durations
     std::size_t lanes = 0;
     std::size_t records = 0;
 };

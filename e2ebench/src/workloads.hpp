@@ -2,9 +2,10 @@
 //
 // The four workloads and the helpers they share. Each workload fills an
 // Outcome: with config.trace off, every end-to-end metric (untraced
-// passes repeated for config.seconds, medians reported); with it on,
-// every per-layer metric (one untraced and one traced attribution pass,
-// plus replays of single public calls on the workload's own inputs).
+// passes repeated for config.seconds, each metric's best pass reported);
+// with it on, every per-layer metric (one untraced and one traced
+// attribution pass, plus replays of single public calls on the workload's
+// own inputs).
 #pragma once
 
 #include <sched.h>
@@ -33,33 +34,57 @@ void run_serve(const Config& config, Outcome& out);
 void run_fabric(const Config& config, Outcome& out);
 void run_search_graph(const Config& config, Outcome& out);
 
-/// Set-ups per untraced run: at least kSetupRepeats, and more while they
-/// have taken under kSetupBudgetS (cheap set-ups get enough samples for a
-/// steady median), at most kSetupMaxRepeats. setup_s is their median.
+/// Set-ups per untraced run. At the start: at least kSetupRepeats, and
+/// more while they have taken under kSetupBudgetS, at most
+/// kSetupMaxRepeats. After each pass: more for up to kSetupPassShare of
+/// that pass's time (none where one set-up takes longer), so the median
+/// sees the host over the whole run, not only its first moments.
 inline constexpr int kSetupRepeats = 5;
-inline constexpr int kSetupMaxRepeats = 200;
-inline constexpr double kSetupBudgetS = 0.5;
+inline constexpr int kSetupMaxRepeats = 2000;
+inline constexpr double kSetupBudgetS = 0.25;
+inline constexpr double kSetupPassShare = 0.05;
 
-/// Median set-up time over repeated fresh set-ups (one when `once`);
-/// `setup` builds the workload state and returns it, the last one is kept
-/// for the passes.
+/// Times repeated fresh set-ups of a workload; setup_s is their median.
+/// `setup` builds the workload state and returns it. The first state is
+/// kept for the passes; later ones are torn down off the clock.
 template <typename State>
-State measure_setup(bool once, Outcome& out, const std::function<State()>& setup) {
-    std::vector<double> times;
-    State kept{};
-    double spent = 0.0;
-    while (times.empty() || (!once && (static_cast<int>(times.size()) < kSetupRepeats ||
-                                       (spent < kSetupBudgetS &&
-                                        static_cast<int>(times.size()) < kSetupMaxRepeats)))) {
-        const double t0 = now_s();
-        State state = setup();
-        times.push_back(now_s() - t0);
-        spent += times.back();
-        kept = std::move(state);  // the previous one is torn down off the clock
+class SetupTimer {
+  public:
+    /// The start's set-ups (one when `once`, as in a traced run).
+    SetupTimer(bool once, std::function<State()> setup) : setup_(std::move(setup)) {
+        state_ = setup_once();
+        double spent = times_.back();
+        while (!once && (static_cast<int>(times_.size()) < kSetupRepeats ||
+                         (spent < kSetupBudgetS &&
+                          static_cast<int>(times_.size()) < kSetupMaxRepeats))) {
+            setup_once();
+            spent += times_.back();
+        }
     }
-    out.set("setup_s", median(times), "s");
-    return kept;
-}
+
+    const State& state() const { return state_; }
+
+    /// More set-ups after a pass that took `pass_s` seconds.
+    void after_pass(double pass_s) {
+        const double budget = pass_s * kSetupPassShare;
+        const double start = now_s();
+        while (now_s() - start + times_.back() <= budget) setup_once();
+    }
+
+    void report(Outcome& out) const { out.set("setup_s", median(times_), "s"); }
+
+  private:
+    State setup_once() {
+        const double t0 = now_s();
+        State state = setup_();
+        times_.push_back(now_s() - t0);
+        return state;
+    }
+
+    std::function<State()> setup_;
+    State state_{};
+    std::vector<double> times_;
+};
 
 /// Per-pass values of a run's end-to-end metrics. A run reports each
 /// metric's best pass — the minimum, or the maximum for throughputs —
@@ -77,8 +102,10 @@ class PassSeries {
 };
 
 /// Runs pass(i) until `seconds` have elapsed and at least `min_passes`
-/// passes ran; returns the number of passes.
-int run_passes(double seconds, int min_passes, const std::function<void(int)>& pass);
+/// passes ran, calling between(pass seconds) after each; returns the
+/// number of passes.
+int run_passes(double seconds, int min_passes, const std::function<void(int)>& pass,
+               const std::function<void(double)>& between);
 
 /// Pins the calling thread to one CPU, the next in a process-wide
 /// rotation over the CPUs it may use, until destroyed (the original mask
@@ -86,7 +113,7 @@ int run_passes(double seconds, int min_passes, const std::function<void(int)>& p
 /// moment (by up to ~3x), and a thread left alone stays on whichever CPU
 /// it woke on, so unpinned single-thread timings measure that one CPU's
 /// luck rather than the machine. Threads started while pinned inherit
-/// the pin: never hold one across thread creation.
+/// the pin, which serve-mixed uses to keep a pass's threads on one CPU.
 class PinToNextCpu {
   public:
     PinToNextCpu();
@@ -117,8 +144,8 @@ void scenario_io_replay(const Config& config, const std::string& manifest_text,
 /// Per-layer self times and the trace bookkeeping metrics from the
 /// summary of the traced pass: `traced_wall` / `untraced_wall` are the
 /// attribution pass's wall times with tracing on / off, `lanes` how many
-/// lanes tile it. Checks that the lane self times sum to lanes x wall
-/// within kSelfSumTolerance.
+/// lanes tile it. With more than one lane, checks that the lane self
+/// times sum to lanes x wall within kSelfSumTolerance.
 void report_trace(const Config& config, const trace::Summary& summary, double traced_wall,
                   double untraced_wall, Outcome& out);
 
