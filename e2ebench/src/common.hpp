@@ -70,6 +70,10 @@ struct Config {
 inline constexpr std::uint64_t kDefaultSeed = 20110516;
 
 /// A fresh, empty directory under the run's scratch area; unique per call.
+/// Timed passes leave theirs in place, and main() removes the whole area
+/// when the run ends: on ext4, deleting a pass's hundreds of cache files
+/// made file creation in the next passes several times slower for tens of
+/// seconds.
 std::string fresh_dir(const Config& config, const std::string& tag);
 void remove_tree(const std::string& path);
 std::string read_file(const std::string& path);

@@ -227,7 +227,6 @@ void run_fabric(const Config& config, Outcome& out) {
                 const dist::CampaignCoordinator warm(setup.manifest, setup.text, options);
                 out.op(warm.complete() && warm.artifact() == r.artifact_text);
             });
-            remove_tree(r.dir);
             series.add("wall_s", r.wall, "s");
             series.add("cpu_s", r.cpu, "s");
             series.add("artifact_s", r.artifact, "s");
@@ -240,7 +239,7 @@ void run_fabric(const Config& config, Outcome& out) {
                   "every fabric artifact byte-identical to a local run_campaign artifact");
         out.check(out.failed == 0,
                   "every pass: 0 conflicts, 0 failed points, both workers exited clean");
-        series.report_best(out);
+        series.report_median(out);
         out.set("rt_p50_ms", quantile(hot_ms, 0.5), "ms");
         out.set("rt_p99_ms", quantile(hot_ms, 0.99), "ms");
         out.note("fabric-many: " + std::to_string(passes) + " coordinated campaigns of " +
@@ -275,6 +274,7 @@ void run_fabric(const Config& config, Outcome& out) {
         report_trace(config, summary, traced.wall, untraced.wall, out);
         scenario_io_replay(config, setup.text, traced.dir, traced.artifact_text, out);
         remove_tree(traced.dir);
+        measure_service_layer(config, out);
     }
     setups.report(out);
 }

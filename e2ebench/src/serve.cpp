@@ -41,6 +41,19 @@ constexpr std::size_t kHealthEvery = 10;   ///< GET /healthz before round trip i
 constexpr int kIdleProbeTimeoutMs = 1000;  ///< cap of the idle-peer probe
 constexpr std::chrono::microseconds kPollInterval{250};  ///< status poll period
 
+/// A cold job is ci_smoke cut to one 12x12 point of 60 trials: it computes
+/// and stores one point. The full ci_smoke stores eight, and creating one
+/// cache file on a shared 4-vCPU VM took 20 us in some seconds and 750 us
+/// in others, so eight files per cold job made a pass's time follow the
+/// host's file-system latency more than the service.
+const std::map<std::string, std::string> kColdOverrides{
+    {"m", "12"},
+    {"n", "12"},
+    {"trials", "60"},
+    {"grid.density", "[0.4]"},
+    {"grid.topology", "[\"mesh\"]"},
+    {"repetitions", "1"}};
+
 const char* const kHotFiles[] = {"atlas_smoke.json", "rule_family_12x12.json",
                                  "search_scaling_4x4.json", "backend_matrix.json"};
 
@@ -139,8 +152,8 @@ PassResult serve_pass(const Config& config, const Setup& setup, int pass, Outcom
     // Cold manifests carry seeds no earlier request of this run used.
     std::vector<std::string> cold_text(trips);
     for (std::size_t i = kColdEvery - 1; i < trips; i += kColdEvery)
-        cold_text[i] =
-            derived_manifest(config, "ci_smoke.json", config.seed + 1 + pass * trips + i);
+        cold_text[i] = derived_manifest(config, "ci_smoke.json",
+                                        config.seed + 1 + pass * trips + i, kColdOverrides);
     const double rss_before = current_rss_kb();
     std::mutex mutex;  // guards result's vectors and samples
     std::atomic<std::uint64_t> list_ns{0};
@@ -301,26 +314,90 @@ double idle_peer_stall(const Setup& setup) {
     return connected ? stall : 0.0;
 }
 
+/// The hot manifests, warmed into a fresh cache by local run_campaign
+/// calls, with their artifacts (the expected report bodies).
+Setup make_setup(const Config& config) {
+    Setup s;
+    s.cache_dir = fresh_dir(config, "serve-cache");
+    ThreadPool pool(kServicePool);
+    for (const char* file : kHotFiles) {
+        std::map<std::string, std::string> overrides;
+        if (config.smoke && std::string(file) == "search_scaling_4x4.json")
+            overrides["grid.max-size"] = "[2, 3]";
+        s.hot_text.push_back(derived_manifest(config, file, config.seed, overrides));
+        const scenario::Manifest manifest = scenario::parse_manifest(s.hot_text.back(), file);
+        scenario::CampaignOptions options;
+        options.cache_dir = s.cache_dir;
+        options.pool = &pool;
+        s.hot_artifact.push_back(scenario::run_campaign(manifest, options).to_json(manifest));
+    }
+    return s;
+}
+
+struct ServiceLayer {
+    PassResult untraced, traced;
+    trace::Summary summary;
+};
+
+/// One untraced and one traced serve pass. Checks both, and sets the
+/// service and HTTP per-layer metrics from the traced one.
+ServiceLayer service_layer(const Config& config, const Setup& setup, Outcome& out) {
+    ServiceLayer layer;
+    layer.untraced = serve_pass(config, setup, 0, out);
+    trace::set_enabled(true);
+    layer.traced = serve_pass(config, setup, 1, out);
+    trace::set_enabled(false);
+    const PassResult& traced = layer.traced;
+    out.check(layer.untraced.http_ok && traced.http_ok,
+              "every /healthz and GET /campaigns answered 200");
+    out.check(verify_cold(layer.traced) == 0,
+              "cold reports byte-identical to the locally computed campaign");
+    layer.summary = trace::summarize();
+    const trace::Summary& summary = layer.summary;
+
+    out.set("http.roundtrip_us", mean_us(summary, "http.request"), "us");
+    for (const char* route : {"healthz", "submit", "list", "status", "report"})
+        out.set(std::string("service.handle_us.") + route,
+                mean_us(summary, std::string("service.handle.") + route), "us");
+    out.set("service.list_us_last", traced.list_us_last, "us");
+    out.set("service.rss_per_job_kb", traced.rss_per_job_kb, "KiB");
+
+    // The server parses and renders inside serve_forever; time the same
+    // public functions on the traffic it saw.
+    std::vector<double> parse_us, render_us;
+    for (std::size_t i = 0; i < traced.sample_requests.size(); ++i) {
+        const service::HttpRequest& q = traced.sample_requests[i];
+        const std::string raw = q.method + " " + q.target +
+                                " HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: "
+                                "application/json\r\nContent-Length: " +
+                                std::to_string(q.body.size()) +
+                                "\r\nConnection: close\r\n\r\n" + q.body;
+        double t = now_s();
+        const auto parsed = service::parse_http_request(raw);
+        parse_us.push_back((now_s() - t) * 1e6);
+        out.op(parsed.has_value() && parsed->body == q.body);
+        t = now_s();
+        const std::string rendered = service::render_http_response(traced.sample_responses[i]);
+        render_us.push_back((now_s() - t) * 1e6);
+    }
+    out.set("http.parse_us", median(parse_us), "us");
+    out.set("http.render_us", median(render_us), "us");
+    out.set("http.idle_peer_stall_s", idle_peer_stall(setup), "s");
+    return layer;
+}
+
 } // namespace
 
+void measure_service_layer(const Config& config, Outcome& out) {
+    const Setup setup = make_setup(config);
+    trace::reset();
+    service_layer(config, setup, out);
+    trace::reset();
+    remove_tree(setup.cache_dir);
+}
+
 void run_serve(const Config& config, Outcome& out) {
-    SetupTimer<Setup> setups(config.trace, [&] {
-        Setup s;
-        s.cache_dir = fresh_dir(config, "serve-cache");
-        ThreadPool pool(kServicePool);
-        for (const char* file : kHotFiles) {
-            std::map<std::string, std::string> overrides;
-            if (config.smoke && std::string(file) == "search_scaling_4x4.json")
-                overrides["grid.max-size"] = "[2, 3]";
-            s.hot_text.push_back(derived_manifest(config, file, config.seed, overrides));
-            const scenario::Manifest manifest = scenario::parse_manifest(s.hot_text.back(), file);
-            scenario::CampaignOptions options;
-            options.cache_dir = s.cache_dir;
-            options.pool = &pool;
-            s.hot_artifact.push_back(scenario::run_campaign(manifest, options).to_json(manifest));
-        }
-        return s;
-    });
+    SetupTimer<Setup> setups(config.trace, [&] { return make_setup(config); });
     const Setup& setup = setups.state();
 
     if (!config.trace) {
@@ -338,7 +415,7 @@ void run_serve(const Config& config, Outcome& out) {
             series.add("artifact_s", r.artifact, "s");
             series.add("trials_per_s", static_cast<double>(r.trials) / r.artifact, "1/s");
             series.add("req_per_s", static_cast<double>(r.requests) / r.artifact, "1/s");
-            // Best pass, not pooled like the other workloads' warm requests:
+            // Per pass, not pooled like the other workloads' warm requests:
             // these round trips spread over the whole pass, and a fresh
             // server's first passes run slower.
             series.add("rt_p50_ms", quantile(r.hot_ms, 0.5), "ms");
@@ -351,54 +428,16 @@ void run_serve(const Config& config, Outcome& out) {
         out.check(mismatches == 0, std::to_string(cold_ms.size()) +
                                        " cold reports byte-identical to the locally "
                                        "computed campaign");
-        series.report_best(out);
+        series.report_median(out);
         out.set("rt_p99_ms", quantile(hot_ms, 0.99), "ms");
         out.note("serve-mixed: " + std::to_string(passes) + " passes, " +
                  std::to_string(hot_ms.size()) + " hot and " + std::to_string(cold_ms.size()) +
                  " cold round trips");
     } else {
-        const PassResult untraced = serve_pass(config, setup, 0, out);
-        trace::set_enabled(true);
-        PassResult traced = serve_pass(config, setup, 1, out);
-        trace::set_enabled(false);
-        out.check(untraced.http_ok && traced.http_ok,
-                  "every /healthz and GET /campaigns answered 200");
-        out.check(verify_cold(traced) == 0,
-                  "cold reports byte-identical to the locally computed campaign");
-        const trace::Summary summary = trace::summarize();
-
-        out.set("http.roundtrip_us", mean_us(summary, "http.request"), "us");
-        for (const char* route : {"healthz", "submit", "list", "status", "report"})
-            out.set(std::string("service.handle_us.") + route,
-                    mean_us(summary, std::string("service.handle.") + route), "us");
-        out.set("service.list_us_last", traced.list_us_last, "us");
-        out.set("service.rss_per_job_kb", traced.rss_per_job_kb, "KiB");
-        out.set("cache.hits", static_cast<double>(traced.cached), "count");
-        out.set("cache.misses", static_cast<double>(traced.computed), "count");
-
-        // The server parses and renders inside serve_forever; time the same
-        // public functions on the traffic it saw.
-        std::vector<double> parse_us, render_us;
-        for (std::size_t i = 0; i < traced.sample_requests.size(); ++i) {
-            const service::HttpRequest& q = traced.sample_requests[i];
-            const std::string raw = q.method + " " + q.target +
-                                    " HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: "
-                                    "application/json\r\nContent-Length: " +
-                                    std::to_string(q.body.size()) +
-                                    "\r\nConnection: close\r\n\r\n" + q.body;
-            double t = now_s();
-            const auto parsed = service::parse_http_request(raw);
-            parse_us.push_back((now_s() - t) * 1e6);
-            out.op(parsed.has_value() && parsed->body == q.body);
-            t = now_s();
-            const std::string rendered = service::render_http_response(traced.sample_responses[i]);
-            render_us.push_back((now_s() - t) * 1e6);
-        }
-        out.set("http.parse_us", median(parse_us), "us");
-        out.set("http.render_us", median(render_us), "us");
-        out.set("http.idle_peer_stall_s", idle_peer_stall(setup), "s");
-
-        report_trace(config, summary, traced.clients, untraced.clients, out);
+        const ServiceLayer layer = service_layer(config, setup, out);
+        out.set("cache.hits", static_cast<double>(layer.traced.cached), "count");
+        out.set("cache.misses", static_cast<double>(layer.traced.computed), "count");
+        report_trace(config, layer.summary, layer.traced.clients, layer.untraced.clients, out);
         scenario_io_replay(config, setup.hot_text[0], setup.cache_dir, setup.hot_artifact[0],
                            out);
     }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 
 #include "scenario/campaign.hpp"
 #include "scenario/checkpoint.hpp"
@@ -106,13 +107,17 @@ void PassSeries::add(const std::string& name, double value, const std::string& u
     series_unit = unit;
 }
 
-void PassSeries::report_best(Outcome& out) const {
+void PassSeries::report_median(Outcome& out) const {
     for (const auto& [name, entry] : values_) {
         const auto& [series, unit] = entry;
-        const bool higher = unit == "1/s";  // throughputs
-        out.set(name, higher ? *std::max_element(series.begin(), series.end())
-                             : *std::min_element(series.begin(), series.end()),
-                unit);
+        out.set(name, median(series), unit);
+        std::string passes = "passes " + name + " (" + unit + "):";
+        for (const double v : series) {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), " %.4g", v);
+            passes += buf;
+        }
+        out.note(passes);
     }
 }
 

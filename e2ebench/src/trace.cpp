@@ -75,6 +75,16 @@ const char* layer_name(Layer layer) {
     return names[static_cast<std::size_t>(layer)];
 }
 
+void reset() {
+    State& s = state();
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    s.records.clear();
+    s.by_name.clear();
+    s.remote_child_ns.clear();
+    s.lane_self_ns.fill(0);
+    s.lanes = 0;
+}
+
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 

@@ -92,6 +92,10 @@ struct Summary {
 
 Summary summarize();
 
+/// Drops every record and aggregate, so that a second traced measurement
+/// in the same run is summarized on its own. Call with no span open.
+void reset();
+
 /// Writes every kept record as one JSON object per line:
 /// {"id", "parent", "name", "layer", "thread", "start_us", "end_us"}.
 void write_records(const std::string& path);

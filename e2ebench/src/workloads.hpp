@@ -2,7 +2,7 @@
 //
 // The four workloads and the helpers they share. Each workload fills an
 // Outcome: with config.trace off, every end-to-end metric (untraced
-// passes repeated for config.seconds, each metric's best pass reported);
+// passes repeated for config.seconds, each metric's median pass reported);
 // with it on, every per-layer metric (one untraced and one traced
 // attribution pass, plus replays of single public calls on the workload's
 // own inputs).
@@ -33,6 +33,13 @@ void run_atlas(const Config& config, Outcome& out);
 void run_serve(const Config& config, Outcome& out);
 void run_fabric(const Config& config, Outcome& out);
 void run_search_graph(const Config& config, Outcome& out);
+
+/// serve-mixed's traced measurement on a fresh set-up of its own: one
+/// untraced and one traced serve pass, setting every http.* and service.*
+/// per-layer metric. fabric-many's traced run ends with it, so the service
+/// layer is measured on a workload BENCHMARK.json lists. Resets the trace
+/// before and after.
+void measure_service_layer(const Config& config, Outcome& out);
 
 /// Set-ups per untraced run. At the start: at least kSetupRepeats, and
 /// more while they have taken under kSetupBudgetS, at most
@@ -87,15 +94,16 @@ class SetupTimer {
 };
 
 /// Per-pass values of a run's end-to-end metrics. A run reports each
-/// metric's best pass — the minimum, or the maximum for throughputs —
-/// because on a shared host contention only ever adds time: the best pass
-/// is what the program does, the spread of the others is what the host
-/// did to it (the rationale of timeit's "take the minimum").
+/// metric's median pass. On a shared host a pass's time swings by 10-30%
+/// with the neighbours' load; the median of a run's passes moves less
+/// from run to run than its best pass, which depends on the one luckiest
+/// moment of the run.
 class PassSeries {
   public:
     void add(const std::string& name, double value, const std::string& unit);
-    /// Sets every collected metric on `out` to its best pass.
-    void report_best(Outcome& out) const;
+    /// Sets every collected metric on `out` to its median pass, and notes
+    /// every pass's value.
+    void report_median(Outcome& out) const;
 
   private:
     std::map<std::string, std::pair<std::vector<double>, std::string>> values_;
