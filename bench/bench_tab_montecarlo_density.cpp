@@ -69,7 +69,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     {
         {"m", dynamo::scenario::ParamType::Int, "12", "6", "torus rows"},
         {"n", dynamo::scenario::ParamType::Int, "12", "6", "torus columns"},
-        {"trials", dynamo::scenario::ParamType::Int, "120", "8", "trials per density"},
+        {"trials", dynamo::scenario::ParamType::Count, "120", "8", "trials per density"},
         {"colors", dynamo::scenario::ParamType::Int, "4", "3", "palette size |C|"},
         {"workers", dynamo::scenario::ParamType::Int, "0", "2", "worker threads (0 = hardware)"},
     },

@@ -191,7 +191,7 @@ int run_mc_critical_density(Context& ctx) {
         {"ladder", ParamType::Int, "6", "4", "coarse scan points, endpoints included"},
         {"bracket_target", ParamType::Double, "0.02", "0.25", "target bracket width"},
         {"max_probes", ParamType::Int, "32", "6", "total probe budget: ladder + bisection"},
-        {"max_trials", ParamType::Int, "10000", "40", "per-probe hard trial cap"},
+        {"max_trials", ParamType::Count, "10000", "40", "per-probe hard trial cap"},
         {"warm", ParamType::Int, "1", "",
          "warm-start each probe's checkpoint schedule from the nearest decided "
          "neighbor (0 = cold schedule; bracket stays pure in (params, seed))"},

@@ -153,7 +153,7 @@ int run_mc_density_point(Context& ctx) {
          "engine backend each trial steps (identical outcomes across backends)"},
         {"colors", ParamType::Int, "4", "3", "palette size |C| (bi-color rules default to 2)"},
         {"density", ParamType::Double, "0.3", "", "per-vertex probability of the seeded color"},
-        {"trials", ParamType::Int, "120", "6",
+        {"trials", ParamType::Count, "120", "6",
          "random colorings per point (fixed mode; forbidden when ci_target > 0)"},
         {"seed", ParamType::Uint, "53261", "", "base RNG seed (trial t uses substream t)"},
         {"ci_target", ParamType::Double, "0", "",
@@ -164,7 +164,7 @@ int run_mc_density_point(Context& ctx) {
          "confidence-sequence boundary: eb | hoeffding"},
         {"union", ParamType::Int, "1", "",
          "concurrent grid points sharing delta (cross-point union bound)"},
-        {"max_trials", ParamType::Int, "10000", "60", "adaptive hard trial cap"},
+        {"max_trials", ParamType::Count, "10000", "60", "adaptive hard trial cap"},
     },
     &run_mc_density_point,
 });

@@ -1,19 +1,26 @@
 #include "analysis/montecarlo.hpp"
 
-#include <optional>
+#include <algorithm>
+#include <span>
+#include <string>
 
 #include "core/run/batch.hpp"
-#include "core/run/simulate.hpp"
+#include "core/sim/lane_engine.hpp"
 #include "rules/registry.hpp"
 
 namespace dynamo::analysis {
 
-ColorField random_coloring(std::size_t size, Color k, Color num_colors, double density,
-                           Xoshiro256& rng) {
+namespace {
+
+void check_coloring(Color k, Color num_colors, double density) {
     DYNAMO_REQUIRE(num_colors >= 2, "need at least two colors");
     DYNAMO_REQUIRE(k >= 1 && k <= num_colors, "target color outside palette");
     DYNAMO_REQUIRE(density >= 0.0 && density <= 1.0, "density outside [0, 1]");
-    ColorField field(size);
+}
+
+/// random_coloring's draws, written to field[0, size).
+void fill_random_coloring(Color* field, std::size_t size, Color k, Color num_colors,
+                          double density, Xoshiro256& rng) {
     for (std::size_t v = 0; v < size; ++v) {
         if (rng.bernoulli(density)) {
             field[v] = k;
@@ -24,90 +31,158 @@ ColorField random_coloring(std::size_t size, Color k, Color num_colors, double d
             field[v] = c;
         }
     }
+}
+
+} // namespace
+
+ColorField random_coloring(std::size_t size, Color k, Color num_colors, double density,
+                           Xoshiro256& rng) {
+    check_coloring(k, num_colors, density);
+    ColorField field(size);
+    fill_random_coloring(field.data(), size, k, num_colors, density, rng);
     return field;
 }
 
 namespace {
 
-/// Per-trial record, reduced in trial order so floating-point sums are
-/// identical for every execution schedule.
-struct TrialOutcome {
-    Termination termination = Termination::RoundLimit;
-    std::uint32_t rounds = 0;
-    std::optional<Color> mono;
-    std::size_t final_k = 0;
+/// Everything a trial depends on besides its index and the batch seed.
+struct TrialSpec {
+    const grid::Torus& torus;
+    Color k;
+    double density;
+    Color num_colors;
+    const rules::RuleInfo& rule;
+    Backend backend;
+
+    /// Backend::Auto batches whose palette the lane planes hold run on the
+    /// lane engine; an explicit backend keeps the per-trial path it names.
+    bool on_lanes() const noexcept {
+        return backend == Backend::Auto && rule.run_lanes != nullptr &&
+               num_colors <= sim::kLaneMaxColors;
+    }
 };
 
-void check_rule_backend(Color num_colors, const rules::RuleInfo* rule, Backend backend) {
-    if (rule == nullptr) return;
-    DYNAMO_REQUIRE(rule->admits_palette(num_colors),
-                   std::string("palette size inadmissible for rule '") + rule->name + "'");
-    const std::string error = rules::backend_support_error(backend, *rule);
-    DYNAMO_REQUIRE(error.empty(), error);
+TrialSpec make_spec(const grid::Torus& torus, Color k, double density, Color num_colors,
+                    const rules::RuleInfo* rule, Backend backend) {
+    check_coloring(k, num_colors, density);
+    if (rule != nullptr) {
+        DYNAMO_REQUIRE(rule->admits_palette(num_colors),
+                       std::string("palette size inadmissible for rule '") + rule->name + "'");
+        const std::string error = rules::backend_support_error(backend, *rule);
+        DYNAMO_REQUIRE(error.empty(), error);
+    }
+    // No rule means the SMP protocol, whose registry entry runs simulate().
+    return {torus, k, density, num_colors, rule != nullptr ? *rule : rules::smp_rule(), backend};
 }
 
-/// One trial: a random coloring from the trial's private substream, run
-/// to termination. Shared verbatim by the fixed and adaptive paths, so an
-/// adaptive point's prefix is bit-identical to a fixed-trial run.
-TrialOutcome run_one_trial(const grid::Torus& torus, Color k, double density,
-                           Color num_colors, const rules::RuleInfo* rule, Backend backend,
-                           Xoshiro256& rng) {
-    const ColorField initial = random_coloring(torus.size(), k, num_colors, density, rng);
-    // Backend::Auto: each (serial) trial takes the active-set fast path;
-    // parallelism is across trials, not within the sweep.
-    RunOptions opts;
-    opts.backend = backend;
-    const RunResult result =
-        rule != nullptr ? rule->run(torus, initial, opts) : simulate(torus, initial, opts);
-    return {result.termination, result.rounds, result.mono,
-            count_color(result.final_colors, k)};
+/// The one trial path, shared by the fixed and adaptive points: the
+/// outcomes of trials [lo, hi) of the batch seeded with `seed`, written to
+/// out[0, hi - lo). Trial t colors the torus from its private substream
+/// substream_seed(seed, t) and runs to termination - on the lane engine,
+/// up to 64 trials per call, or one by one through the rule's scalar
+/// entry point - so each outcome is the same however the range is cut.
+void run_trials(const TrialSpec& spec, std::size_t lo, std::size_t hi, std::uint64_t seed,
+                RunSummary* out) {
+    const std::size_t size = spec.torus.size();
+    if (!spec.on_lanes()) {
+        ColorField initial(size);
+        RunOptions opts;
+        opts.backend = spec.backend;
+        for (std::size_t t = lo; t < hi; ++t) {
+            Xoshiro256 rng(substream_seed(seed, t));
+            fill_random_coloring(initial.data(), size, spec.k, spec.num_colors, spec.density, rng);
+            out[t - lo] = summarize(spec.rule.run(spec.torus, initial, opts), spec.k);
+        }
+        return;
+    }
+    std::vector<Color> fields(std::min(sim::kLanes, hi - lo) * size);
+    for (std::size_t base = lo; base < hi; base += sim::kLanes) {
+        const std::size_t lanes = std::min(sim::kLanes, hi - base);
+        for (std::size_t i = 0; i < lanes; ++i) {
+            Xoshiro256 rng(substream_seed(seed, base + i));
+            fill_random_coloring(fields.data() + i * size, size, spec.k, spec.num_colors,
+                                 spec.density, rng);
+        }
+        spec.rule.run_lanes(spec.torus, fields.data(), lanes, spec.k, out + (base - lo));
+    }
 }
 
-/// Deterministic trial-order reduction of the first `trials` outcomes.
-DensityPoint reduce_outcomes(const grid::Torus& torus, double density,
-                             const std::vector<TrialOutcome>& outcomes, std::size_t trials) {
-    DensityPoint point;
-    point.density = density;
-    point.trials = trials;
-    double rounds_sum = 0.0;
-    double k_fraction_sum = 0.0;
-    for (std::size_t t = 0; t < trials; ++t) {
-        const TrialOutcome& outcome = outcomes[t];
+/// run_trials across the pool, one contiguous block per worker.
+void run_trials_pooled(const TrialSpec& spec, std::size_t lo, std::size_t hi,
+                       std::uint64_t seed, ThreadPool* pool, RunSummary* out) {
+    parallel_for_blocks(pool, hi - lo, 1, [&](std::size_t a, std::size_t b) {
+        run_trials(spec, lo + a, lo + b, seed, out + a);
+    });
+}
+
+bool reached_k_mono(const RunSummary& outcome, Color k) {
+    return outcome.termination == Termination::Monochromatic && outcome.mono &&
+           *outcome.mono == k;
+}
+
+/// Trial-order fold of outcomes into a DensityPoint, so the floating-point
+/// sums are identical for every execution schedule.
+class Tally {
+  public:
+    Tally(const grid::Torus& torus, double density) : size_(torus.size()) {
+        point_.density = density;
+    }
+
+    void add(const RunSummary& outcome) {
+        ++point_.trials;
         switch (outcome.termination) {
             case Termination::Monochromatic:
                 // k-monochromatic iff every vertex holds k at termination.
-                if (outcome.mono && outcome.final_k == torus.size()) {
-                    ++point.k_mono;
-                    rounds_sum += outcome.rounds;
+                if (outcome.mono && outcome.final_k == size_) {
+                    ++point_.k_mono;
+                    rounds_sum_ += outcome.rounds;
                 } else if (outcome.mono) {
-                    ++point.other_mono;
+                    ++point_.other_mono;
                 }
                 break;
-            case Termination::Cycle: ++point.cycles; break;
-            case Termination::FixedPoint: ++point.fixed_points; break;
+            case Termination::Cycle: ++point_.cycles; break;
+            case Termination::FixedPoint: ++point_.fixed_points; break;
             case Termination::RoundLimit: break;
         }
-        k_fraction_sum +=
-            static_cast<double>(outcome.final_k) / static_cast<double>(torus.size());
+        k_fraction_sum_ +=
+            static_cast<double>(outcome.final_k) / static_cast<double>(size_);
     }
-    if (point.k_mono > 0) rounds_sum /= static_cast<double>(point.k_mono);
-    point.mean_rounds_mono = rounds_sum;
-    point.mean_final_k_fraction = k_fraction_sum / static_cast<double>(trials ? trials : 1);
-    return point;
-}
+
+    DensityPoint point() const {
+        DensityPoint point = point_;
+        point.mean_rounds_mono =
+            point.k_mono > 0 ? rounds_sum_ / static_cast<double>(point.k_mono) : 0.0;
+        point.mean_final_k_fraction =
+            k_fraction_sum_ / static_cast<double>(point.trials ? point.trials : 1);
+        return point;
+    }
+
+  private:
+    std::size_t size_;
+    DensityPoint point_;
+    double rounds_sum_ = 0.0;
+    double k_fraction_sum_ = 0.0;
+};
+
+/// Fixed-trial points fold their outcomes in slices of this many trials,
+/// so memory stays bounded whatever trial count is requested.
+constexpr std::size_t kFoldSlice = 4096;
 
 } // namespace
 
 DensityPoint run_density_point(const grid::Torus& torus, Color k, double density,
                                Color num_colors, std::size_t trials, std::uint64_t seed,
                                ThreadPool* pool, const rules::RuleInfo* rule, Backend backend) {
-    check_rule_backend(num_colors, rule, backend);
-    std::vector<TrialOutcome> outcomes(trials);
-    BatchRunner batch(pool);
-    batch.run_trials(trials, seed, [&](std::size_t t, Xoshiro256& rng) {
-        outcomes[t] = run_one_trial(torus, k, density, num_colors, rule, backend, rng);
-    });
-    return reduce_outcomes(torus, density, outcomes, trials);
+    const TrialSpec spec = make_spec(torus, k, density, num_colors, rule, backend);
+    Tally tally(torus, density);
+    std::vector<RunSummary> outcomes;
+    for (std::size_t lo = 0; lo < trials; lo += kFoldSlice) {
+        const std::size_t hi = std::min(trials, lo + kFoldSlice);
+        outcomes.resize(hi - lo);
+        run_trials_pooled(spec, lo, hi, seed, pool, outcomes.data());
+        for (const RunSummary& outcome : outcomes) tally.add(outcome);
+    }
+    return tally.point();
 }
 
 AdaptiveDensityPoint run_density_point_adaptive(const grid::Torus& torus, Color k,
@@ -116,23 +191,26 @@ AdaptiveDensityPoint run_density_point_adaptive(const grid::Torus& torus, Color 
                                                 const AdaptiveOptions& options,
                                                 ThreadPool* pool, const rules::RuleInfo* rule,
                                                 Backend backend) {
-    check_rule_backend(num_colors, rule, backend);
-    std::vector<TrialOutcome> outcomes(options.max_trials);
+    const TrialSpec spec = make_spec(torus, k, density, num_colors, rule, backend);
     stats::SequentialOptions seq;
     seq.stopping = options.stopping;
     seq.max_trials = options.max_trials;
     seq.chunk = options.chunk;
-    const stats::SequentialEstimator estimator(seq, pool);
+    const stats::SequentialEstimator estimator(seq);
+    // Every generated trial's outcome, grown chunk by chunk.
+    std::vector<RunSummary> outcomes;
     const stats::SequentialResult result =
-        estimator.run(seed, [&](std::size_t t, Xoshiro256& rng) {
-            outcomes[t] = run_one_trial(torus, k, density, num_colors, rule, backend, rng);
-            const bool is_k_mono = outcomes[t].termination == Termination::Monochromatic &&
-                                   outcomes[t].mono && *outcomes[t].mono == k;
-            return is_k_mono ? 1.0 : 0.0;
+        estimator.run_chunks([&](std::size_t lo, std::size_t hi, std::span<double> values) {
+            outcomes.resize(hi);
+            run_trials_pooled(spec, lo, hi, seed, pool, outcomes.data() + lo);
+            for (std::size_t t = lo; t < hi; ++t)
+                values[t - lo] = reached_k_mono(outcomes[t], k) ? 1.0 : 0.0;
         });
 
+    Tally tally(torus, density);
+    for (std::size_t t = 0; t < result.trials; ++t) tally.add(outcomes[t]);
     AdaptiveDensityPoint adaptive;
-    adaptive.point = reduce_outcomes(torus, density, outcomes, result.trials);
+    adaptive.point = tally.point();
     adaptive.half_width = result.half_width;
     adaptive.lower = result.lower;
     adaptive.upper = result.upper;

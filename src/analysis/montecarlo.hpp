@@ -7,10 +7,14 @@
 // topology, plus conditional round counts.
 //
 // Every trial draws from its own deterministic RNG substream
-// (substream_seed(seed, trial), see core/run/batch.hpp) and runs on the
-// BatchRunner, so a table cell is a pure function of (topology, k,
-// density, |C|, trials, seed) - identical whether trials execute serially
-// or across the ThreadPool, and reproducible from a printed seed.
+// (substream_seed(seed, trial), see core/run/batch.hpp), and trial ranges
+// are cut into contiguous blocks across the ThreadPool, so a table cell is
+// a pure function of (topology, k, density, |C|, trials, seed) - identical
+// whether trials execute serially or pooled, and reproducible from a
+// printed seed. Backend::Auto batches whose palette the lane planes hold
+// (<= 7 colors) advance 64 trials per call on the lane engine
+// (core/sim/lane_engine.hpp); every trial's outcome is the one the
+// per-trial scalar path would produce.
 // Adaptive mode (run_density_point_adaptive) adds sequential stopping on
 // top: the same per-trial substreams, but the trial count is decided by
 // an anytime-valid confidence sequence (stats/confidence.hpp), so the
@@ -90,9 +94,10 @@ ColorField random_coloring(std::size_t size, Color k, Color num_colors, double d
 /// (bit-identical results either way). `rule` selects the local rule the
 /// trials run under (rules/registry.hpp); nullptr = the SMP protocol, the
 /// seed-era behaviour bit for bit. `backend` selects the engine each
-/// trial steps (core/run/backend.hpp) - all backends produce identical
-/// outcomes, so the parameter exists for engine cross-validation and
-/// perf experiments; validate rule x backend support with
+/// trial steps (core/run/backend.hpp; Auto batches run on lanes, see the
+/// header comment) - all backends produce identical outcomes, so the
+/// parameter exists for engine cross-validation and perf experiments;
+/// validate rule x backend support with
 /// rules::backend_support_error before calling. The caller owns the color
 /// conventions: k is the flooding target under that rule (kBlack for
 /// bi-color rules).

@@ -72,4 +72,20 @@ struct RunResult {
 /// Seed-era name for RunResult, kept so all existing call sites compile.
 using Trace = RunResult;
 
+/// The part of a RunResult a Monte-Carlo trial keeps: how and when the run
+/// ended, plus how many vertices hold the trial's target color k at
+/// termination. The lane engine (core/sim/lane_engine.hpp) reports exactly
+/// these fields per lane, without materializing a RunResult.
+struct RunSummary {
+    Termination termination = Termination::RoundLimit;
+    std::uint32_t rounds = 0;
+    std::optional<Color> mono;
+    std::size_t final_k = 0;
+};
+
+/// The RunSummary of `result` with respect to target color `k`.
+inline RunSummary summarize(const RunResult& result, Color k) {
+    return {result.termination, result.rounds, result.mono, count_color(result.final_colors, k)};
+}
+
 } // namespace dynamo

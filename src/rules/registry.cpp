@@ -6,10 +6,12 @@
 #include "rules/registry.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/run/simulate.hpp"
 #include "core/sim/bitplane_engine.hpp"
 #include "core/sim/csr_graph_engine.hpp"
+#include "core/sim/lane_engine.hpp"
 #include "core/sim/packed_engine.hpp"
 #include "core/transform.hpp"
 #include "graph/graph_rules.hpp"
@@ -97,6 +99,31 @@ constexpr auto bitplane_cps_ptr() {
 }
 
 template <sim::LocalRule R>
+void run_lanes_entry(const grid::Torus& torus, const Color* initial, std::size_t lanes, Color k,
+                     RunSummary* out) {
+    const std::size_t size = torus.size();
+    const sim::Word live = sim::run_lanes<R>(torus, initial, lanes, k, out);
+    // Hand-off: the lanes the engine could not classify within its round
+    // budget re-run from their initial fields on the scalar path.
+    for (sim::Word mask = live; mask != 0; mask &= mask - 1) {
+        const auto t = static_cast<std::size_t>(std::countr_zero(mask));
+        const Color* field = initial + t * size;
+        out[t] = summarize(simulate_as<R>(torus, ColorField(field, field + size)), k);
+    }
+}
+
+/// nullptr for rules without a word kernel (see bitplane_cps_ptr).
+template <sim::LocalRule R>
+constexpr auto run_lanes_ptr() {
+    using Fn = void (*)(const grid::Torus&, const Color*, std::size_t, Color, RunSummary*);
+    if constexpr (sim::kBitplaneSupported<R>) {
+        return Fn{&run_lanes_entry<R>};
+    } else {
+        return Fn{nullptr};
+    }
+}
+
+template <sim::LocalRule R>
 constexpr RuleInfo make_info(const char* summary) {
     return RuleInfo{
         R::kName,
@@ -119,6 +146,7 @@ constexpr RuleInfo make_info(const char* summary) {
         },
         sim::kBitplaneSupported<R>,
         bitplane_cps_ptr<R>(),
+        run_lanes_ptr<R>(),
     };
 }
 

@@ -97,6 +97,14 @@ struct RuleInfo {
     /// for bench_perf_engine's bit-plane section; nullptr when !bitplane.
     double (*bitplane_cells_per_sec)(const grid::Torus&, const ColorField&, int warmup,
                                      int rounds);
+    /// Up to sim::kLanes independent runs from the lane-major fields
+    /// `initial` (lane t's field at initial + t * |V|, palette at most
+    /// sim::kLaneMaxColors), advanced together by the lane engine
+    /// (core/sim/lane_engine.hpp). Lanes it leaves live after its round
+    /// budget are re-run one by one through `run`, so out[t] always equals
+    /// summarize(run(torus, field t, {}), k). nullptr when !bitplane.
+    void (*run_lanes)(const grid::Torus&, const Color* initial, std::size_t lanes, Color k,
+                      RunSummary* out);
 
     bool bicolor() const noexcept { return max_colors == 2; }
     /// Is a palette of |C| colors admissible under this rule?

@@ -4,6 +4,7 @@
 // for the determinism, crash-safety, and sharding contracts).
 #include "scenario/campaign.hpp"
 
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -140,8 +141,10 @@ CampaignOutcome run_campaign(const Manifest& manifest, const CampaignOptions& op
         missing.push_back(slot);
     }
 
-    // Pass 2: compute the misses across the pool. Each point writes only
-    // its own slot; grain 1 because points are coarse units of work. Every
+    // Pass 2: compute the misses across the pool, one job per point in
+    // index order: point costs differ by orders of magnitude, so workers
+    // pull the next point as they free up instead of owning a fixed
+    // contiguous block. Each point writes only its own slot. Every
     // SUCCESSFUL point is stored (and checkpointed) the moment it settles,
     // inside this pass — persisting used to wait for a serial pass after
     // the pool drained, so a campaign killed at point k of n lost all k
@@ -149,8 +152,11 @@ CampaignOutcome run_campaign(const Manifest& manifest, const CampaignOptions& op
     // Failed points are not cached — a re-run retries them instead of
     // replaying the error. The cache store is concurrency-safe (unique
     // per-writer temp names), so workers need no store mutex.
-    parallel_for_blocks(options.pool, missing.size(), 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
+    DYNAMO_REQUIRE(missing.size() <= std::numeric_limits<unsigned>::max(),
+                   "too many campaign points for one pass");
+    const auto jobs = static_cast<unsigned>(missing.size());
+    if (jobs > 0) {
+        parallel_for_shards(options.pool, jobs, [&](unsigned j) {
             CampaignPoint& point = outcome.points[missing[j]];
             point.result = compute_campaign_point(*scenario, point.spec);
             if (point.result.exit_code == 0) {
@@ -161,8 +167,8 @@ CampaignOutcome run_campaign(const Manifest& manifest, const CampaignOptions& op
             }
             progress.emit(point.spec.index,
                           point.result.exit_code == 0 ? "computed" : "failed", point);
-        }
-    });
+        });
+    }
 
     // Pass 3 (serial): tally.
     for (const CampaignPoint& point : outcome.points) {

@@ -48,9 +48,9 @@ std::string example_command(const Scenario& s) {
 
 bool value_parses_as(ParamType type, const std::string& value) {
     std::istringstream is(value);
-    if (type == ParamType::Int) {
+    if (type == ParamType::Int || type == ParamType::Count) {
         std::int64_t v = 0;
-        return static_cast<bool>(is >> v) && is.eof();
+        return static_cast<bool>(is >> v) && is.eof() && (type == ParamType::Int || v >= 1);
     }
     if (type == ParamType::Uint) {
         std::uint64_t v = 0;
@@ -68,6 +68,7 @@ bool value_parses_as(ParamType type, const std::string& value) {
 const char* to_string(ParamType t) noexcept {
     switch (t) {
         case ParamType::Int: return "int";
+        case ParamType::Count: return "int >= 1";
         case ParamType::Uint: return "uint";
         case ParamType::Double: return "double";
         case ParamType::String: return "string";

@@ -34,6 +34,10 @@ namespace dynamo::scenario {
 
 enum class ParamType {
     Int,
+    /// An Int that must be >= 1 (trial counts and caps): a zero or
+    /// negative value is rejected at parse/bind time, before it can reach
+    /// an allocation or a size_t cast.
+    Count,
     /// Full-range non-negative 64-bit integer (RNG substream seeds);
     /// read with CliArgs::get_uint64.
     Uint,

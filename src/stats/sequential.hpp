@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/run/batch.hpp"
@@ -62,17 +63,31 @@ class SequentialEstimator {
     /// past result.trials belong to discarded trials.
     template <typename SampleFn>
     SequentialResult run(std::uint64_t seed, SampleFn&& sample) const {
-        ConfidenceSequence sequence(options_.stopping);
         const BatchRunner batch(pool_);
+        return run_chunks([&](std::size_t lo, std::size_t hi, std::span<double> values) {
+            batch.run_trials(lo, hi, seed, [&](std::size_t t, Xoshiro256& rng) {
+                values[t - lo] = sample(t, rng);
+            });
+        });
+    }
+
+    /// Chunk form of run(), for callers that produce a whole chunk at once
+    /// (the lane engine advances up to 64 trials per call).
+    /// fill(lo, hi, values) writes the observations of trials [lo, hi) to
+    /// values[0, hi - lo). It is called once per chunk, in trial order, on
+    /// the calling thread, and owns its own parallelism (the estimator's
+    /// pool serves run() only). Same stopping and determinism contract as
+    /// run().
+    template <typename FillFn>
+    SequentialResult run_chunks(FillFn&& fill) const {
+        ConfidenceSequence sequence(options_.stopping);
         std::vector<double> values;
         SequentialResult result;
         std::size_t generated = 0;
         while (!sequence.stopped() && result.trials < options_.max_trials) {
             const std::size_t hi = std::min(generated + options_.chunk, options_.max_trials);
             values.resize(hi - generated);
-            batch.run_trials(generated, hi, seed, [&](std::size_t t, Xoshiro256& rng) {
-                values[t - generated] = sample(t, rng);
-            });
+            fill(generated, hi, std::span<double>(values));
             for (std::size_t t = generated; t < hi && !sequence.stopped(); ++t) {
                 sequence.observe(values[t - generated]);
                 ++result.trials;

@@ -595,6 +595,73 @@ TEST(Registry, RuleParamsValidateAgainstTheRuleRegistry) {
                  std::invalid_argument);
 }
 
+TEST(Registry, TrialCountsBelowOneAreRejectedAtBindTime) {
+    // A trial count or cap < 1 used to reach a size_t cast and an up-front
+    // allocation (max_trials=-1 asked for a vector of 2^64 - 1 outcomes);
+    // both surfaces now refuse it, naming the parameter.
+    const auto expect_refused = [](const char* scenario, const char* key, const char* value) {
+        const Scenario* s = find(scenario);
+        ASSERT_NE(s, nullptr);
+        const CliArgs args(std::map<std::string, std::string>{{key, value}});
+        const std::string err = validate_args(*s, args, /*strict=*/true);
+        EXPECT_NE(err.find(std::string("--") + key + " expects int >= 1"), std::string::npos)
+            << scenario << ": " << err;
+        try {
+            parse_manifest(std::string(R"({"name": "x", "scenario": ")") + scenario +
+                               R"(", "fixed": {")" + key + R"(": )" + value + "}}",
+                           "test-manifest");
+            ADD_FAILURE() << scenario << " accepted " << key << "=" << value;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("\"") + key + "\" expects int >= 1"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_refused("mc_density_point", "trials", "0");
+    expect_refused("mc_density_point", "trials", "-3");
+    expect_refused("mc_density_point", "max_trials", "-1");
+    expect_refused("mc_critical_density", "max_trials", "-1");
+    expect_refused("mc_critical_density", "max_trials", "0");
+    EXPECT_TRUE(value_parses_as(ParamType::Count, "1"));
+    EXPECT_TRUE(value_parses_as(ParamType::Count, "3000000000"));
+}
+
+TEST(Campaign, HugeTrialCapsAllocateOnlyTheTrialsGenerated) {
+    // max_trials=3000000000 used to allocate its outcome buffer up front
+    // (std::bad_alloc); the buffer now grows with the trials generated,
+    // so a point that converges early costs what it runs.
+    const Manifest manifest = parse_manifest(
+        R"({"name": "huge-cap", "scenario": "mc_density_point",
+            "fixed": {"m": 6, "n": 6, "density": 0.9, "ci_target": 0.2,
+                      "max_trials": 3000000000},
+            "seed": 5})",
+        "test-manifest");
+    const ScratchDir dir("huge_cap");
+    CampaignOptions options;
+    options.cache_dir = dir.path();
+    const CampaignOutcome outcome = run_campaign(manifest, options);
+    ASSERT_EQ(outcome.failed, 0u) << outcome.points.front().result.report;
+    const auto& metrics = outcome.points.front().result.metrics;
+    EXPECT_LT(std::stoull(metrics.at("trials")), 1000u);
+}
+
+TEST(Campaign, AtlasSmokeArtifactBytesArePinned) {
+    // The atlas smoke campaign's artifact, as `dynamo campaign --out`
+    // writes it: engine changes may make it faster, never different.
+    const Manifest manifest = load_manifest(DYNAMO_MANIFEST_DIR "/atlas_smoke.json");
+    const ScratchDir dir("atlas_bytes");
+    CampaignOptions options;
+    options.cache_dir = dir.path();
+    const CampaignOutcome outcome = run_campaign(manifest, options);
+    ASSERT_EQ(outcome.failed, 0u);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a
+    for (const unsigned char c : outcome.to_json(manifest)) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(hash, 0x696a5e8a6a66fac2ULL);
+}
+
 TEST(Cache, EpochFourEntriesNeverCollideWithEpochThree) {
     // Satellite of the adaptive-MC PR: kCodeEpoch moved 3 -> 4 because the
     // mc_density_point metrics block changed shape (p_ci95_* always, the
