@@ -34,11 +34,14 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <fstream>
 #include <iostream>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/coordinator.hpp"
@@ -93,7 +96,8 @@ int usage(std::ostream& out, int code) {
            "                                      pull leases, compute points, push\n"
            "                                      results; exits 0 when the campaign\n"
            "                                      completes or the coordinator shuts\n"
-           "                                      down after contact\n"
+           "                                      down after contact; --poll-ms caps\n"
+           "                                      the 1, 2, 4, ... ms wait-poll ramp\n"
            "  dynamo report <campaign.json> [--format=markdown|json] [--out=FILE]\n"
            "                                      render a campaign artifact as a\n"
            "                                      comparison table (atlas-aware)\n"
@@ -369,17 +373,34 @@ int cmd_coordinate(int argc, char** argv) {
                   << " (" << coordinator.total_points() << " points, "
                   << coordinator.settled_points() << " already settled)\n"
                   << std::flush;
+        // Completion also arrives with no request at all: a worker killed
+        // while idle stops holding the drain open one lease TTL after it
+        // was last seen. Re-check on the steady clock between requests.
+        std::mutex watch_mutex;
+        std::condition_variable watch_cv;
+        bool serving = true;
+        std::thread watcher([&] {
+            std::unique_lock<std::mutex> lock(watch_mutex);
+            while (!watch_cv.wait_for(lock, std::chrono::milliseconds(50),
+                                      [&serving] { return !serving; }))
+                if (coordinator.complete(steady_now_ms())) server.stop();
+        });
         server.serve_forever(
             [&](const service::HttpRequest& request) -> service::HttpResponse {
                 service::HttpResponse response =
                     coordinator.handle(request, steady_now_ms());
-                // Stop AFTER routing, so the completing worker still gets
-                // its reply; remaining workers see the shutdown and exit
-                // cleanly through their had-contact rule.
+                // Stop AFTER routing, so the worker told "done" last still
+                // gets its reply.
                 if (coordinator.complete()) server.stop();
                 return response;
             });
-        interrupted = !coordinator.complete();
+        {
+            const std::lock_guard<std::mutex> lock(watch_mutex);
+            serving = false;
+        }
+        watch_cv.notify_all();
+        watcher.join();
+        interrupted = !coordinator.settled();
     }
 
     const std::string report = coordinator.artifact();

@@ -4,6 +4,7 @@
 // contracts this implements.
 #include "dist/coordinator.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -108,6 +109,7 @@ CampaignCoordinator::CampaignCoordinator(scenario::Manifest manifest,
 
 HttpResponse CampaignCoordinator::handle(const HttpRequest& request, std::uint64_t now_ms) {
     const std::lock_guard<std::mutex> lock(mutex_);
+    latest_now_ms_ = std::max(latest_now_ms_, now_ms);
     try {
         return handle_locked(request, now_ms);
     } catch (const std::invalid_argument& e) {
@@ -183,6 +185,7 @@ HttpResponse CampaignCoordinator::lease(const std::string& body, std::uint64_t n
             grant.ttl_ms = options_.lease_ttl_ms;
         }
     }
+    saw_worker(request.worker, now_ms, grant.done);
     HttpResponse response;
     response.body = render_lease_grant(grant) + "\n";
     return response;
@@ -190,12 +193,17 @@ HttpResponse CampaignCoordinator::lease(const std::string& body, std::uint64_t n
 
 HttpResponse CampaignCoordinator::heartbeat(const std::string& body, std::uint64_t now_ms) {
     const HeartbeatRequest request = parse_heartbeat_request(body);
-    const bool alive = table_->heartbeat(request.lease_id, now_ms);
-    JsonObject reply;
-    reply.emplace_back("ok", Json(alive));
+    HeartbeatReply reply;
+    reply.ok = table_->heartbeat(request.lease_id, now_ms);
+    reply.done = table_->all_settled();
+    saw_worker(request.worker, now_ms, reply.done);
     // 410 Gone tells the worker its lease expired and was requeued; its
-    // in-flight batch should still be completed (first valid wins).
-    return json_response(alive ? 200 : 410, std::move(reply));
+    // in-flight batch should still be completed (first valid wins)
+    // unless the reply also says done.
+    HttpResponse response;
+    response.status = reply.ok ? 200 : 410;
+    response.body = render_heartbeat_reply(reply) + "\n";
+    return response;
 }
 
 HttpResponse CampaignCoordinator::completion(const std::string& body, std::uint64_t now_ms) {
@@ -232,6 +240,8 @@ HttpResponse CampaignCoordinator::completion(const std::string& body, std::uint6
                                                std::to_string(result.index));
         }
     }
+    reply.done = table_->all_settled();
+    saw_worker(request.worker, now_ms, reply.done);
     HttpResponse response;
     response.body = render_complete_reply(reply) + "\n";
     return response;
@@ -257,9 +267,34 @@ void CampaignCoordinator::settle_accepted(std::size_t spec_index, CachedResult r
                    point);
 }
 
-bool CampaignCoordinator::complete() const {
+void CampaignCoordinator::saw_worker(const std::string& name, std::uint64_t now_ms,
+                                     bool done) {
+    SeenWorker& seen = workers_[name];
+    seen.last_seen_ms = std::max(seen.last_seen_ms, now_ms);
+    seen.told_done = seen.told_done || done;
+}
+
+bool CampaignCoordinator::complete_locked(std::uint64_t now_ms) const {
+    if (!table_->all_settled()) return false;
+    for (const auto& [name, seen] : workers_)
+        if (!seen.told_done && now_ms < seen.last_seen_ms + options_.lease_ttl_ms)
+            return false;  // may still be polling: let it hear "done"
+    return true;
+}
+
+bool CampaignCoordinator::settled() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return table_->all_settled();
+}
+
+bool CampaignCoordinator::complete(std::uint64_t now_ms) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return complete_locked(now_ms);
+}
+
+bool CampaignCoordinator::complete() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return complete_locked(latest_now_ms_);
 }
 
 std::size_t CampaignCoordinator::conflicts() const {

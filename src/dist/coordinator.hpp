@@ -21,14 +21,24 @@
 //   * cache warmth — a coordinated run warms the same content-addressed
 //     cache CLI runs read, so re-running distributes zero points.
 //
+// Completion means settled AND drained. Once every point has settled,
+// each reply to a named worker says `done` (dist/protocol.hpp), and the
+// coordinator records, per worker name, when it last heard from it and
+// whether it has been told. complete() turns true only when every
+// worker it has heard from was told `done` or has been silent for a
+// lease TTL (a worker killed while idle) — so a server that stops on
+// complete() never leaves a live worker to find the end of the campaign
+// through connection-refused retries.
+//
 // Like CampaignService, handle() is pure request -> response routing
 // with an INJECTED clock (now_ms) and no socket anywhere — the whole
-// protocol, including lease expiry and kill-and-resume, is testable in
-// process (tests/test_dist.cpp); `dynamo coordinate` is HttpServer +
-// this class + a steady_clock.
+// protocol, including lease expiry, drain and kill-and-resume, is
+// testable in process (tests/test_dist.cpp); `dynamo coordinate` is
+// HttpServer + this class + a steady_clock.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -71,6 +81,16 @@ class CampaignCoordinator {
     service::HttpResponse handle(const service::HttpRequest& request, std::uint64_t now_ms);
 
     /// True once every point has settled (workers are told "done").
+    bool settled() const;
+
+    /// True once settled() and drained at `now_ms`: every worker seen
+    /// on /lease, /heartbeat or /complete was told "done" or has been
+    /// silent since at least now_ms - lease_ttl_ms. A coordinator born
+    /// settled (warm cache/checkpoint) has seen no worker and is
+    /// complete at once.
+    bool complete(std::uint64_t now_ms) const;
+
+    /// complete(now_ms) at the latest time handle() was called with.
     bool complete() const;
 
     /// Mismatching duplicate completions observed (complete() campaigns
@@ -108,6 +128,16 @@ class CampaignCoordinator {
     /// emit, outcome bookkeeping).
     void settle_accepted(std::size_t spec_index, scenario::CachedResult result);
 
+    /// Record a reply to worker `name` at `now_ms`; `done` when the
+    /// reply told it the campaign is over.
+    void saw_worker(const std::string& name, std::uint64_t now_ms, bool done);
+    bool complete_locked(std::uint64_t now_ms) const;
+
+    struct SeenWorker {
+        std::uint64_t last_seen_ms = 0;
+        bool told_done = false;
+    };
+
     scenario::Manifest manifest_;
     std::string manifest_text_;
     CoordinatorOptions options_;
@@ -120,6 +150,8 @@ class CampaignCoordinator {
     std::unique_ptr<scenario::CampaignCheckpoint> checkpoint_;
     scenario::CampaignProgressEmitter progress_;
     std::unique_ptr<LeaseTable> table_;
+    std::map<std::string, SeenWorker> workers_;  ///< by worker name
+    std::uint64_t latest_now_ms_ = 0;            ///< max now_ms handle() has seen
     mutable std::mutex mutex_;
 };
 

@@ -145,6 +145,21 @@ HeartbeatRequest parse_heartbeat_request(const std::string& text) {
     return request;
 }
 
+std::string render_heartbeat_reply(const HeartbeatReply& reply) {
+    JsonObject body;
+    body.emplace_back("ok", Json(reply.ok));
+    body.emplace_back("done", Json(reply.done));
+    return Json(std::move(body)).dump(0);
+}
+
+HeartbeatReply parse_heartbeat_reply(const std::string& text) {
+    const Json body = parse_object(text, "heartbeat reply");
+    HeartbeatReply reply;
+    reply.ok = get_bool_or(body, "ok", false, "heartbeat reply");
+    reply.done = get_bool_or(body, "done", false, "heartbeat reply");
+    return reply;
+}
+
 std::string render_complete_request(const CompleteRequest& request) {
     JsonObject body;
     body.emplace_back("worker", Json(request.worker));
@@ -200,6 +215,7 @@ std::string render_complete_reply(const CompleteReply& reply) {
     body.emplace_back("accepted", Json(static_cast<std::uint64_t>(reply.accepted)));
     body.emplace_back("duplicates", Json(static_cast<std::uint64_t>(reply.duplicates)));
     body.emplace_back("conflicts", Json(static_cast<std::uint64_t>(reply.conflicts)));
+    body.emplace_back("done", Json(reply.done));
     return Json(std::move(body)).dump(0);
 }
 
@@ -211,6 +227,7 @@ CompleteReply parse_complete_reply(const std::string& text) {
         static_cast<std::size_t>(get_uint(body, "duplicates", "completion reply"));
     reply.conflicts =
         static_cast<std::size_t>(get_uint(body, "conflicts", "completion reply"));
+    reply.done = get_bool_or(body, "done", false, "completion reply");
     return reply;
 }
 

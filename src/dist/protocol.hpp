@@ -15,8 +15,15 @@
 //                        so workers expand EXACTLY the coordinator's grid)
 //   GET  /status     -> 200 {"points","settled","queued","leased",...}
 //   POST /lease      -> 200 LeaseGrant        | 400 malformed
-//   POST /heartbeat  -> 200 {"ok":true}       | 410 lease gone
+//   POST /heartbeat  -> 200 HeartbeatReply    | 410 lease gone (same shape)
 //   POST /complete   -> 200 CompleteReply     | 409 wrong campaign | 400
+//
+// Done rule: every reply to a named worker (lease, heartbeat, complete)
+// says `done` once every point has settled, and the coordinator keeps
+// serving until each worker it has seen was told so or went silent for
+// a lease TTL (dist/coordinator.hpp). A worker therefore learns the end
+// of the campaign from a reply, never from a refused connection. Replies
+// from a coordinator that predates the flag parse as done == false.
 //
 // Identity rule: every point travels by its GLOBAL expansion index. The
 // index drives the injected RNG substream (scenario/manifest.hpp), so a
@@ -69,6 +76,15 @@ struct HeartbeatRequest {
     std::uint64_t lease_id = 0;
 };
 
+/// Coordinator's answer to POST /heartbeat (200 while the lease lives,
+/// 410 once it expired). `done` means every point has settled: the
+/// worker's in-flight batch is redundant and it may exit without
+/// posting it.
+struct HeartbeatReply {
+    bool ok = false;
+    bool done = false;
+};
+
 /// One computed point travelling back: the canonical per-point record —
 /// the same (metrics, report, exit_code) triple the result cache stores.
 struct PointResult {
@@ -92,6 +108,7 @@ struct CompleteReply {
     std::size_t accepted = 0;    ///< settled now, first valid result
     std::size_t duplicates = 0;  ///< already settled, matching hash (benign)
     std::size_t conflicts = 0;   ///< already settled, MISMATCHING hash (fatal)
+    bool done = false;           ///< every point has settled: exit, no further /lease
 };
 
 /// FNV-1a 64 over a point result's full payload (exit code, sorted
@@ -113,6 +130,8 @@ std::string render_lease_grant(const LeaseGrant& grant);
 LeaseGrant parse_lease_grant(const std::string& text);
 std::string render_heartbeat_request(const HeartbeatRequest& request);
 HeartbeatRequest parse_heartbeat_request(const std::string& text);
+std::string render_heartbeat_reply(const HeartbeatReply& reply);
+HeartbeatReply parse_heartbeat_reply(const std::string& text);
 std::string render_complete_request(const CompleteRequest& request);
 CompleteRequest parse_complete_request(const std::string& text);
 std::string render_complete_reply(const CompleteReply& reply);

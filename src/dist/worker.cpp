@@ -4,6 +4,7 @@
 #include "dist/worker.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -110,6 +111,13 @@ WorkerExit WorkerLoop::run() {
             " points)");
     }
 
+    const auto done = [&](const char* how) {
+        log(std::string("campaign complete ") + how + " after " +
+            std::to_string(points_computed_) + " points");
+        return WorkerExit::CampaignComplete;
+    };
+
+    unsigned waits = 0;  // consecutive "wait" replies: the poll ramp's step
     for (;;) {
         LeaseRequest lease_request;
         lease_request.worker = options_.name;
@@ -128,14 +136,12 @@ WorkerExit WorkerLoop::run() {
             log(std::string("bad lease grant: ") + e.what());
             return WorkerExit::ProtocolError;
         }
-        if (grant.done) {
-            log("campaign complete after " + std::to_string(points_computed_) + " points");
-            return WorkerExit::CampaignComplete;
-        }
+        if (grant.done) return done("(lease)");
         if (grant.wait || grant.indices.empty()) {
-            sleeper_(options_.poll_ms);
+            sleeper_(wait_poll_delay_ms(options_.poll_ms, waits++));
             continue;
         }
+        waits = 0;
         for (const std::size_t index : grant.indices) {
             if (index >= specs.size()) {
                 log("lease grants index " + std::to_string(index) + " beyond expansion");
@@ -144,24 +150,37 @@ WorkerExit WorkerLoop::run() {
         }
 
         // Renew the lease from a background thread while the batch
-        // computes; failures are ignored by design (see worker.hpp).
+        // computes; failures are ignored by design (see worker.hpp), but
+        // a reply saying done ends the heartbeats and, after the batch,
+        // the worker.
         std::mutex hb_mutex;
         std::condition_variable hb_cv;
         bool hb_stop = false;
+        std::atomic<bool> hb_done{false};
         std::thread hb_thread;
         const std::uint64_t lease_ttl = grant.ttl_ms != 0 ? grant.ttl_ms : ttl_ms;
         if (options_.heartbeats && lease_ttl > 0) {
             const std::string hb_body =
                 render_heartbeat_request({options_.name, grant.lease_id});
             const std::uint64_t interval = std::max<std::uint64_t>(1, lease_ttl / 3);
-            hb_thread = std::thread([this, &hb_mutex, &hb_cv, &hb_stop, hb_body, interval] {
+            hb_thread = std::thread([this, &hb_mutex, &hb_cv, &hb_stop, &hb_done, hb_body,
+                                     interval] {
                 std::unique_lock<std::mutex> lock(hb_mutex);
                 for (;;) {
                     if (hb_cv.wait_for(lock, std::chrono::milliseconds(interval),
                                        [&hb_stop] { return hb_stop; }))
                         return;
                     lock.unlock();
-                    transport_("POST", "/heartbeat", hb_body);
+                    const std::optional<HttpClientResponse> reply =
+                        transport_("POST", "/heartbeat", hb_body);
+                    try {
+                        if (reply.has_value() && parse_heartbeat_reply(reply->body).done) {
+                            hb_done = true;
+                            return;
+                        }
+                    } catch (const std::exception&) {
+                        // an unreadable heartbeat reply is just a failed heartbeat
+                    }
                     lock.lock();
                 }
             });
@@ -195,6 +214,9 @@ WorkerExit WorkerLoop::run() {
             hb_cv.notify_all();
             hb_thread.join();
         }
+        // Every point settled while this batch computed: its results
+        // can only be duplicates, so they are not posted.
+        if (hb_done) return done("(heartbeat)");
 
         const std::optional<HttpClientResponse> reply =
             request("POST", "/complete", render_complete_request(completion));
@@ -215,6 +237,7 @@ WorkerExit WorkerLoop::run() {
                 std::to_string(counts.accepted) + " accepted, " +
                 std::to_string(counts.duplicates) + " duplicate, " +
                 std::to_string(counts.conflicts) + " conflicting");
+            if (counts.done) return done("(complete)");
         } catch (const std::exception& e) {
             log(std::string("bad completion reply: ") + e.what());
             return WorkerExit::ProtocolError;

@@ -6,11 +6,22 @@
 // loop lease -> compute -> complete until the coordinator says done.
 //
 // Fault model:
+//   * the normal end is a reply saying `done` — on /lease, on /complete
+//     (the worker that settles the last point exits without another
+//     lease), or on a heartbeat (the in-flight batch is redundant: the
+//     worker finishes computing it and exits without posting it). The
+//     coordinator keeps serving until every worker it has seen heard
+//     `done` or went silent for a lease TTL (dist/coordinator.hpp);
+//   * a "wait" reply (all remaining work is out on other leases) is
+//     re-polled after 1, 2, 4, ... ms, doubling up to poll_ms; a grant
+//     resets the ramp. The short first steps hear `done` soon after
+//     the last lease settles; the cap bounds the load of a long wait;
 //   * transient transport failures retry with capped exponential
 //     backoff + jitter (dist/backoff.hpp); once retries are exhausted
 //     AFTER the coordinator was ever reachable, the worker concludes
-//     the coordinator shut down and exits CLEANLY — a finished
-//     coordinator stops serving, and that must not fail worker jobs;
+//     the coordinator shut down and exits CLEANLY. This is the fallback
+//     for a coordinator that died or stopped before this worker heard
+//     `done` — it must not fail worker jobs;
 //   * a coordinator that was NEVER reachable is an error (bad URL,
 //     nothing listening) — the worker exits nonzero;
 //   * while computing a batch, a background heartbeat renews the lease
@@ -28,6 +39,7 @@
 // `dynamo work` injects dist/http_client.hpp and a real sleep.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -55,10 +67,18 @@ inline bool worker_exit_clean(WorkerExit exit) noexcept {
 
 const char* to_string(WorkerExit exit) noexcept;
 
+/// Sleep before re-polling after the `wait`-th consecutive "wait" reply
+/// (0-based): 1, 2, 4, ... ms, capped at `poll_ms`. The cap is at least
+/// 1 ms, so poll_ms == 0 polls every millisecond instead of spinning.
+inline std::uint64_t wait_poll_delay_ms(std::uint64_t poll_ms, unsigned wait) noexcept {
+    const std::uint64_t cap = std::max<std::uint64_t>(poll_ms, 1);
+    return wait >= 63 ? cap : std::min<std::uint64_t>(cap, std::uint64_t{1} << wait);
+}
+
 struct WorkerOptions {
     std::string name = "worker";
     std::size_t capacity = 4;      ///< points requested per lease
-    std::uint64_t poll_ms = 200;   ///< sleep between "wait" polls
+    std::uint64_t poll_ms = 200;   ///< cap of the "wait" poll ramp (0 acts as 1)
     BackoffPolicy backoff;         ///< transient-failure retry schedule
     bool heartbeats = true;        ///< disable only in single-threaded tests
     ThreadPool* pool = nullptr;    ///< intra-batch parallelism; may be null

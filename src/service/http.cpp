@@ -171,16 +171,16 @@ void HttpServer::serve_forever(
             }
             if (need != std::string::npos && data.size() >= need) break;
             const ssize_t n = ::read(fd, buf, sizeof(buf));
-            if (n <= 0) break;  // peer closed or error: work with what we have
+            if (n <= 0) break;  // peer closed or reset: answered below, short body is 400
             data.append(buf, static_cast<std::size_t>(n));
             if (data.size() > kMaxBody + 16384) break;  // refuse unbounded heads
         }
 
         HttpResponse response;
-        if (bad_request || need == std::string::npos) {
-            response = {400, "application/json", error_body("malformed request")};
-        } else if (need == kMaxBody + 1) {
+        if (need == kMaxBody + 1) {
             response = {413, "application/json", error_body("request body too large")};
+        } else if (bad_request || need == std::string::npos || data.size() < need) {
+            response = {400, "application/json", error_body("malformed request")};
         } else {
             const auto request = parse_http_request(data.substr(0, need));
             if (!request) {
@@ -194,10 +194,13 @@ void HttpServer::serve_forever(
             }
         }
 
+        // MSG_NOSIGNAL: a peer that reset the connection must cost this
+        // reply (EPIPE), not the process (SIGPIPE).
         const std::string wire = render_http_response(response);
         std::size_t sent = 0;
         while (sent < wire.size()) {
-            const ssize_t n = ::write(fd, wire.data() + sent, wire.size() - sent);
+            const ssize_t n =
+                ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
             if (n <= 0) break;
             sent += static_cast<std::size_t>(n);
         }

@@ -15,6 +15,10 @@
 //   * worker — every terminal state of the loop via scripted transports
 //     and recorded sleepers (retry counting, shutdown-vs-unreachable,
 //     fingerprint mismatch, immediate done);
+//   * drain — complete() means settled AND drained: live workers hear
+//     `done` on a reply before a coordinator that stops on complete()
+//     refuses them, a silent worker holds completion for one lease TTL
+//     on the injected clock, and heartbeats answer `done` after settle;
 //   * one real loopback end-to-end: HttpServer + coordinator + two
 //     WorkerLoop threads, artifact still byte-identical.
 //
@@ -25,8 +29,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -100,6 +108,27 @@ int dist_probe_fn(scenario::Context& ctx) {
       {"seed", scenario::ParamType::Uint, "0", "", "RNG substream slot (echoed)"},
       {"fail_value", scenario::ParamType::Int, "-1", "", "fail iff value matches"}},
      dist_probe_fn});
+
+/// Set by the scripted heartbeat that answers `done`; the dist_block
+/// point waits for it, so the heartbeat lands inside the batch.
+std::atomic<bool> g_block_released{false};
+
+/// Test-only point that blocks until g_block_released (10 s at most).
+int dist_block_fn(scenario::Context& ctx) {
+    for (int i = 0; i < 10000 && !g_block_released; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ctx.metrics["value"] = std::to_string(ctx.args.get_int("value", 1));
+    return 0;
+}
+
+[[maybe_unused]] const bool kBlockRegistered = scenario::register_scenario(
+    {"dist_block",
+     "point",
+     "test-only point that blocks until a heartbeat is answered",
+     0,
+     {{"value", scenario::ParamType::Int, "1", "", "echoed into metrics"},
+      {"seed", scenario::ParamType::Uint, "0", "", "RNG substream slot (unused)"}},
+     dist_block_fn});
 
 constexpr const char* kManifestText =
     R"({"name": "dist-probe", "scenario": "dist_probe",)"
@@ -246,6 +275,28 @@ TEST(Protocol, EveryMessageRoundTrips) {
     EXPECT_EQ(reply.accepted, 4u);
     EXPECT_EQ(reply.duplicates, 2u);
     EXPECT_EQ(reply.conflicts, 1u);
+}
+
+TEST(Protocol, DoneFlagsRoundTripAndOldRepliesParseAsNotDone) {
+    CompleteReply done_reply{4, 2, 1, true};
+    const CompleteReply c = parse_complete_reply(render_complete_reply(done_reply));
+    EXPECT_EQ(c.accepted, 4u);
+    EXPECT_EQ(c.duplicates, 2u);
+    EXPECT_EQ(c.conflicts, 1u);
+    EXPECT_TRUE(c.done);
+    EXPECT_FALSE(parse_complete_reply(render_complete_reply({1, 0, 0})).done);
+    // The reply shape of a coordinator without the flag.
+    EXPECT_FALSE(
+        parse_complete_reply(R"({"accepted": 1, "duplicates": 0, "conflicts": 0})").done);
+
+    const HeartbeatReply hb = parse_heartbeat_reply(render_heartbeat_reply({false, true}));
+    EXPECT_FALSE(hb.ok);
+    EXPECT_TRUE(hb.done);
+    const HeartbeatReply old = parse_heartbeat_reply(R"({"ok": true})");
+    EXPECT_TRUE(old.ok);
+    EXPECT_FALSE(old.done);
+    EXPECT_THROW(parse_heartbeat_reply(R"({"ok": true, "done": "yes"})"),
+                 std::invalid_argument);
 }
 
 TEST(Protocol, MalformedBodiesThrowActionably) {
@@ -833,6 +884,212 @@ TEST(Worker, AlreadyCompleteCampaignMeansImmediateDone) {
     EXPECT_EQ(worker.points_computed(), 0u);
 }
 
+TEST(Worker, WaitPollRampDoublesUpToTheCapAndNeverSpins) {
+    const std::vector<std::uint64_t> ramp = {1, 2, 4, 8, 16, 32, 64, 128, 200, 200};
+    for (unsigned wait = 0; wait < ramp.size(); ++wait)
+        EXPECT_EQ(wait_poll_delay_ms(200, wait), ramp[wait]) << "wait " << wait;
+    EXPECT_EQ(wait_poll_delay_ms(200, 1000), 200u);
+    EXPECT_EQ(wait_poll_delay_ms(5, 2), 4u);
+    EXPECT_EQ(wait_poll_delay_ms(5, 3), 5u);
+    // A zero cap still sleeps: --poll-ms=0 must not busy-spin on /lease.
+    for (const unsigned wait : {0u, 1u, 10u, 63u, 64u})
+        EXPECT_EQ(wait_poll_delay_ms(0, wait), 1u) << "wait " << wait;
+}
+
+TEST(Worker, DoneOnAHeartbeatSkipsTheRedundantCompletion) {
+    g_block_released = false;
+    const char* text =
+        R"({"name": "dist-block", "scenario": "dist_block", "grid": {"value": [1]}, "seed": 5})";
+    util::JsonObject envelope;
+    envelope.emplace_back("fingerprint", util::Json(hex16(0xb10cULL)));
+    envelope.emplace_back("points", util::Json(std::uint64_t{1}));
+    envelope.emplace_back("ttl_ms", util::Json(std::uint64_t{3}));
+    envelope.emplace_back("manifest", util::Json(text));
+    const std::string manifest_body = util::Json(std::move(envelope)).dump(0);
+
+    // A coordinator whose campaign settles elsewhere while this worker
+    // computes: the first heartbeat answers done (and releases the point).
+    std::atomic<int> completes{0};
+    WorkerOptions options = worker_options("w1");
+    options.heartbeats = true;
+    WorkerLoop worker(
+        [&](const std::string&, const std::string& target, const std::string&)
+            -> std::optional<HttpClientResponse> {
+            if (target == "/manifest") return HttpClientResponse{200, manifest_body};
+            if (target == "/lease") {
+                LeaseGrant grant;
+                grant.lease_id = 1;
+                grant.indices = {0};
+                grant.ttl_ms = 3;  // heartbeat every millisecond
+                return HttpClientResponse{200, render_lease_grant(grant)};
+            }
+            if (target == "/heartbeat") {
+                const std::string reply = render_heartbeat_reply({false, true});
+                g_block_released = true;
+                return HttpClientResponse{410, reply};
+            }
+            ++completes;
+            return HttpClientResponse{200, render_complete_reply({1, 0, 0})};
+        },
+        options, [](std::uint64_t) {});
+    EXPECT_EQ(worker.run(), WorkerExit::CampaignComplete);
+    EXPECT_EQ(completes.load(), 0);
+    EXPECT_EQ(worker.leases_completed(), 0u);
+    EXPECT_EQ(worker.retries(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Drain: complete() is settled AND every seen worker told done or silent
+
+TEST(Drain, TwoLiveWorkersBothHearDoneWithoutRetries) {
+    const ScratchDir scratch("drain_live");
+    const Manifest manifest = probe_manifest();
+    CampaignCoordinator coordinator(manifest, kManifestText, coordinator_options(scratch));
+
+    // Serial like HttpServer, and refusing every call once complete()
+    // has been observed — the handler of `dynamo coordinate`.
+    std::mutex serve_mutex;
+    bool stopped = false;
+    // Both workers' first leases are answered before either goes on, so
+    // the coordinator knows both before the campaign can settle.
+    std::mutex join_mutex;
+    std::condition_variable join_cv;
+    std::set<std::string> joined;
+    const WorkerLoop::Transport transport =
+        [&](const std::string& method, const std::string& target,
+            const std::string& body) -> std::optional<HttpClientResponse> {
+        HttpResponse response;
+        {
+            const std::lock_guard<std::mutex> lock(serve_mutex);
+            if (stopped) return std::nullopt;
+            response = coordinator.handle(make_request(method, target, body), 0);
+            stopped = coordinator.complete();
+        }
+        if (target == "/lease") {
+            std::unique_lock<std::mutex> lock(join_mutex);
+            joined.insert(parse_lease_request(body).worker);
+            join_cv.notify_all();
+            join_cv.wait(lock, [&joined] { return joined.size() >= 2; });
+        }
+        return HttpClientResponse{response.status, response.body};
+    };
+
+    std::vector<std::unique_ptr<WorkerLoop>> workers;
+    std::vector<WorkerExit> exits(2, WorkerExit::ProtocolError);
+    for (const char* name : {"w1", "w2"})
+        workers.push_back(std::make_unique<WorkerLoop>(transport, worker_options(name)));
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < workers.size(); ++i)
+        threads.emplace_back([&, i] { exits[i] = workers[i]->run(); });
+    for (std::thread& t : threads) t.join();
+
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+        EXPECT_EQ(exits[i], WorkerExit::CampaignComplete) << "worker " << i;
+        EXPECT_EQ(workers[i]->retries(), 0u) << "worker " << i;
+    }
+    EXPECT_EQ(workers[0]->points_computed() + workers[1]->points_computed(), 6u);
+    EXPECT_TRUE(coordinator.complete());
+    EXPECT_EQ(coordinator.conflicts(), 0u);
+
+    CampaignOptions local;
+    local.cache_dir = scratch.path() + "/cache-local";
+    EXPECT_EQ(coordinator.artifact(), run_campaign(manifest, local).to_json(manifest));
+}
+
+TEST(Drain, SilentWorkerHoldsCompletionForOneTtl) {
+    const ScratchDir scratch("drain_silent");
+    CoordinatorOptions options = coordinator_options(scratch);  // ttl 1000
+    options.batch = 6;
+    CampaignCoordinator coordinator(probe_manifest(), kManifestText, options);
+    const std::vector<PointSpec> specs = scenario::expand(probe_manifest());
+
+    const LeaseGrant grant = parse_lease_grant(
+        coordinator.handle(make_request("POST", "/lease", render_lease_request({"w1", 6})), 0)
+            .body);
+    ASSERT_EQ(grant.indices.size(), 6u);
+    // w2 polls at t=500, hears wait, and is killed while idle.
+    EXPECT_TRUE(parse_lease_grant(coordinator
+                                      .handle(make_request("POST", "/lease",
+                                                           render_lease_request({"w2", 2})),
+                                              500)
+                                      .body)
+                    .wait);
+
+    CompleteRequest completion;
+    completion.worker = "w1";
+    completion.lease_id = grant.lease_id;
+    completion.fingerprint = coordinator.fingerprint_hex();
+    for (const std::size_t index : grant.indices)
+        completion.results.push_back(compute_result(specs, index));
+    const CompleteReply reply = parse_complete_reply(
+        coordinator
+            .handle(make_request("POST", "/complete", render_complete_request(completion)), 600)
+            .body);
+    EXPECT_EQ(reply.accepted, 6u);
+    EXPECT_TRUE(reply.done);
+
+    // Settled at t=600, but w2 might still poll until 500 + ttl.
+    EXPECT_TRUE(coordinator.settled());
+    EXPECT_FALSE(coordinator.complete());
+    EXPECT_FALSE(coordinator.complete(600));
+    EXPECT_FALSE(coordinator.complete(1499));
+    EXPECT_TRUE(coordinator.complete(1500));
+    // The no-argument form follows the clock handle() last saw.
+    coordinator.handle(make_request("GET", "/status"), 1500);
+    EXPECT_TRUE(coordinator.complete());
+}
+
+TEST(Drain, HeartbeatAfterSettleAnswersDone) {
+    const ScratchDir scratch("drain_heartbeat");
+    CoordinatorOptions options = coordinator_options(scratch);  // ttl 1000
+    options.batch = 6;
+    CampaignCoordinator coordinator(probe_manifest(), kManifestText, options);
+    const std::vector<PointSpec> specs = scenario::expand(probe_manifest());
+    const auto lease = [&](const std::string& worker, std::uint64_t now) {
+        return parse_lease_grant(
+            coordinator.handle(make_request("POST", "/lease", render_lease_request({worker, 6})),
+                               now)
+                .body);
+    };
+    const auto heartbeat = [&](const std::string& worker, std::uint64_t lease_id,
+                               std::uint64_t now) {
+        return coordinator.handle(
+            make_request("POST", "/heartbeat", render_heartbeat_request({worker, lease_id})),
+            now);
+    };
+
+    // w1 stalls past its TTL; w2 is granted the requeued points.
+    const LeaseGrant slow = lease("w1", 0);
+    const LeaseGrant replacement = lease("w2", 1000);
+    ASSERT_EQ(replacement.indices, slow.indices);
+    const HttpResponse live = heartbeat("w2", replacement.lease_id, 1100);
+    EXPECT_EQ(live.status, 200);
+    EXPECT_TRUE(parse_heartbeat_reply(live.body).ok);
+    EXPECT_FALSE(parse_heartbeat_reply(live.body).done);
+
+    // w1 lands first (first valid wins) and hears done on its reply.
+    CompleteRequest completion;
+    completion.worker = "w1";
+    completion.lease_id = slow.lease_id;
+    completion.fingerprint = coordinator.fingerprint_hex();
+    for (const std::size_t index : slow.indices)
+        completion.results.push_back(compute_result(specs, index));
+    EXPECT_TRUE(parse_complete_reply(coordinator
+                                         .handle(make_request("POST", "/complete",
+                                                              render_complete_request(completion)),
+                                                 1200)
+                                         .body)
+                    .done);
+    EXPECT_FALSE(coordinator.complete());  // w2 is still computing
+
+    // w2's next heartbeat: its lease is gone and the campaign is done.
+    const HttpResponse gone = heartbeat("w2", replacement.lease_id, 1300);
+    EXPECT_EQ(gone.status, 410);
+    EXPECT_FALSE(parse_heartbeat_reply(gone.body).ok);
+    EXPECT_TRUE(parse_heartbeat_reply(gone.body).done);
+    EXPECT_TRUE(coordinator.complete());
+}
+
 // ---------------------------------------------------------------------------
 // Port file + loopback end-to-end
 
@@ -890,8 +1147,8 @@ TEST(LoopbackEndToEnd, TwoRealWorkersMatchTheLocalArtifact) {
                     return http_request(endpoint, method, target, body, 5000);
                 },
                 wopts);
-            // The worker that finishes the campaign sees "done"; the
-            // other may find the server already gone — both are clean.
+            // Both hear "done" on a reply before the server stops; the
+            // shutdown fallback would be clean too.
             EXPECT_TRUE(worker_exit_clean(worker.run())) << name;
         });
     };

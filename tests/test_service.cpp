@@ -556,8 +556,7 @@ TEST(Service, ReportsConflictUntilDoneAndSurfacesJobFailure) {
 // One real socket round trip
 // ---------------------------------------------------------------------------
 
-/// Minimal blocking HTTP client for the loopback test.
-std::string http_exchange(std::uint16_t port, const std::string& wire) {
+int connect_loopback(std::uint16_t port) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
     sockaddr_in addr{};
@@ -565,6 +564,12 @@ std::string http_exchange(std::uint16_t port, const std::string& wire) {
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(port);
     EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+}
+
+/// Minimal blocking HTTP client for the loopback test.
+std::string http_exchange(std::uint16_t port, const std::string& wire) {
+    const int fd = connect_loopback(port);
     std::size_t sent = 0;
     while (sent < wire.size()) {
         const ssize_t n = ::write(fd, wire.data() + sent, wire.size() - sent);
@@ -611,6 +616,62 @@ TEST(Service, LoopbackSocketEndToEnd) {
     server.stop();
     loop.join();
     wait_until_idle(service);
+}
+
+/// Connects, sends `wire`, then either half-closes and returns the reply
+/// (`reset` false) or resets the connection with SO_LINGER {1, 0} and
+/// returns nothing (`reset` true).
+std::string send_short_body(std::uint16_t port, const std::string& wire, bool reset) {
+    const int fd = connect_loopback(port);
+    EXPECT_EQ(::write(fd, wire.data(), wire.size()), static_cast<ssize_t>(wire.size()));
+    std::string response;
+    if (reset) {
+        const linger abort{1, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
+    } else {
+        ::shutdown(fd, SHUT_WR);
+        char buf[4096];
+        for (ssize_t n; (n = ::read(fd, buf, sizeof(buf))) > 0;)
+            response.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return response;
+}
+
+// SIGPIPE keeps its default disposition here: a server that answered a
+// reset peer with a plain write() would kill this test binary.
+TEST(Service, ShortBodyIsRefusedAndAResetPeerCannotKillTheServer) {
+    const ScratchDir dir("service_reset");
+    ServiceOptions options;
+    options.cache_dir = dir.path() + "/cache";
+    CampaignService service(options);
+    HttpServer server(0);
+    std::thread loop([&] {
+        server.serve_forever(
+            [&](const HttpRequest& request) { return service.handle(request); });
+    });
+    // A whole manifest under a Content-Length 50 bytes longer, then a
+    // half-close: the body is short, so 400 and nothing is submitted.
+    const std::string manifest = manifest_text();
+    const std::string refused = send_short_body(
+        server.port(),
+        "POST /campaigns HTTP/1.1\r\nHost: localhost\r\nContent-Length: " +
+            std::to_string(manifest.size() + 50) + "\r\n\r\n" + manifest,
+        false);
+    EXPECT_NE(refused.find("HTTP/1.1 400 Bad Request"), std::string::npos) << refused;
+
+    // Reset after 1 of 100 body bytes: the 400 meets a dead socket.
+    send_short_body(server.port(),
+                    "POST /campaigns HTTP/1.1\r\nHost: localhost\r\nContent-Length: 100"
+                    "\r\n\r\n{",
+                    true);
+    const std::string health = http_exchange(
+        server.port(), "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n");
+    EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
+
+    server.stop();
+    loop.join();
+    EXPECT_EQ(call(service, "GET", "/campaigns/1").status, 404);  // nothing was submitted
 }
 
 } // namespace
