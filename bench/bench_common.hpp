@@ -12,7 +12,7 @@
 #include "core/builders.hpp"
 #include "core/conditions.hpp"
 #include "core/dynamo.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "grid/torus.hpp"
 #include "io/ascii.hpp"
 #include "util/cli.hpp"

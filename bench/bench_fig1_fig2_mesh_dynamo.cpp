@@ -37,7 +37,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
 
     const ConditionReport rep = check_theorem_conditions(torus, cfg.field, cfg.k);
     const Stopwatch sw;
-    const Trace trace = run_traced(torus, cfg);
+    const RunResult trace = run_traced(torus, cfg);
 
     ConsoleTable table({"quantity", "paper", "measured", "status"});
     table.add_row("|S_k|", mesh_size_lower_bound(m, n), cfg.seeds.size(),

@@ -33,7 +33,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
                   << io::render_field(torus, cfg.field, cfg.k);
 
         const ConditionReport rep = check_theorem_conditions(torus, cfg.field, cfg.k);
-        const Trace trace = run_traced(torus, cfg);
+        const RunResult trace = run_traced(torus, cfg);
         const Color hostile = cfg.field[torus.index(m / 2, n / 2)];
 
         ConsoleTable table({"quantity", "paper", "measured", "status"});
@@ -56,7 +56,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
         out << "configuration (k column + alternating vertical stripes):\n"
                   << io::render_field(torus, cfg.field, cfg.k);
 
-        const Trace trace = run_traced(torus, cfg);
+        const RunResult trace = run_traced(torus, cfg);
         ConsoleTable table({"quantity", "paper", "measured", "status"});
         table.add_row("total recolorings", "0", trace.total_recolorings,
                       trace.total_recolorings == 0 ? "match" : "FAIL");

@@ -13,7 +13,7 @@ using namespace dynamo;
 using namespace dynamo::bench;
 
 template <std::size_t M, std::size_t N>
-void compare(std::ostream& out, const grid::Torus& torus, const Trace& trace,
+void compare(std::ostream& out, const grid::Torus& torus, const RunResult& trace,
              const std::uint32_t (&expected)[M][N], const char* what) {
     out << "\nmeasured matrix (" << what << "):\n"
         << io::render_time_matrix(torus, trace.k_time);
@@ -39,7 +39,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     {
         grid::Torus torus(grid::Topology::ToroidalMesh, 5, 5);
         const Configuration cfg = build_full_cross_configuration(torus);
-        const Trace trace = run_traced(torus, cfg);
+        const RunResult trace = run_traced(torus, cfg);
         static const std::uint32_t expected[5][5] = {{0, 0, 0, 0, 0},
                                                      {0, 1, 2, 2, 1},
                                                      {0, 2, 3, 3, 2},
@@ -55,7 +55,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     {
         grid::Torus torus(grid::Topology::TorusCordalis, 5, 5);
         const Configuration cfg = build_theorem4_configuration(torus);
-        const Trace trace = run_traced(torus, cfg);
+        const RunResult trace = run_traced(torus, cfg);
         static const std::uint32_t expected[5][5] = {{0, 0, 0, 0, 0},
                                                      {0, 1, 2, 3, 4},
                                                      {5, 6, 7, 8, 7},

@@ -25,9 +25,11 @@
 #include "analysis/montecarlo.hpp"
 #include "core/blocks.hpp"
 #include "core/builders.hpp"
-#include "core/engine.hpp"
-#include "core/frontier_engine.hpp"
 #include "core/run/batch.hpp"
+#include "core/run/runner.hpp"
+#include "core/run/simulate.hpp"
+#include "core/sim/active_engine.hpp"
+#include "core/sync_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/plurality.hpp"
 #include "rules/registry.hpp"
@@ -113,7 +115,7 @@ void BM_FullDynamoRun(benchmark::State& state) {
     grid::Torus torus(grid::Topology::ToroidalMesh, side, side);
     const Configuration cfg = build_theorem2_configuration(torus);
     for (auto _ : state) {
-        SimulationOptions opts;
+        RunOptions opts;
         opts.detect_cycles = false;  // dynamos terminate by monochromatic
         benchmark::DoNotOptimize(simulate(torus, cfg.field, opts).rounds);
     }
@@ -129,9 +131,11 @@ void BM_FrontierDynamoRun(benchmark::State& state) {
     grid::Torus torus(grid::Topology::ToroidalMesh, side, side);
     const Configuration cfg = build_theorem2_configuration(torus);
     for (auto _ : state) {
-        FrontierEngine engine(torus, cfg.field);
-        benchmark::DoNotOptimize(
-            frontier_run(engine, 4 * static_cast<std::uint32_t>(torus.size())));
+        sim::ActiveEngine engine(torus, cfg.field);
+        RunOptions opts;
+        opts.max_rounds = 4 * static_cast<std::uint32_t>(torus.size());
+        opts.detect_cycles = false;
+        benchmark::DoNotOptimize(run_to_terminal(engine, opts).rounds);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(torus.size()));
@@ -143,7 +147,7 @@ void BM_TraceBookkeepingOverhead(benchmark::State& state) {
     grid::Torus torus(grid::Topology::ToroidalMesh, 128, 128);
     const Configuration cfg = build_theorem2_configuration(torus);
     for (auto _ : state) {
-        SimulationOptions opts;
+        RunOptions opts;
         opts.detect_cycles = false;
         if (tracked) opts.target = cfg.k;
         benchmark::DoNotOptimize(simulate(torus, cfg.field, opts).rounds);

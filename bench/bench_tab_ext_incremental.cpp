@@ -24,11 +24,11 @@ int scenario_main(dynamo::scenario::Context& ctx) {
     for (std::uint32_t s = 5; s <= max_dim; s += 2) {
         grid::Torus torus(grid::Topology::ToroidalMesh, s, s);
         const Configuration cfg = build_theorem2_configuration(torus);
-        const Trace smp = run_traced(torus, cfg);
+        const RunResult smp = run_traced(torus, cfg);
 
-        SimulationOptions opts;
+        RunOptions opts;
         opts.target = cfg.k;
-        const Trace inc =
+        const RunResult inc =
             rules::simulate_incremental(torus, cfg.field, cfg.colors_used, opts);
 
         const char* outcome = inc.termination == Termination::Monochromatic
@@ -54,7 +54,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
         for (std::uint32_t i = 0; i < 8; ++i) {
             for (std::uint32_t j = 0; j < 4; ++j) f[torus.index(i, j)] = colors;
         }
-        const Trace trace = rules::simulate_incremental(torus, f, colors);
+        const RunResult trace = rules::simulate_incremental(torus, f, colors);
         band.add_row(static_cast<int>(colors),
                      trace.termination == Termination::Monochromatic
                          ? std::to_string(trace.rounds)

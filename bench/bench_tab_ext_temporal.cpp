@@ -24,7 +24,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
                  "X3 - Theorem-2 dynamo under intermittent links (edge up-probability sweep)");
     grid::Torus torus(grid::Topology::ToroidalMesh, m, n);
     const Configuration cfg = build_theorem2_configuration(torus);
-    const Trace baseline = run_traced(torus, cfg);
+    const RunResult baseline = run_traced(torus, cfg);
 
     ConsoleTable table({"edge up-prob", "P(complete)", "mean rounds", "max rounds",
                         "slowdown vs static", "monotone runs"});

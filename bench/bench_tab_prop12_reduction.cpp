@@ -34,9 +34,9 @@ std::uint32_t min_majority_dynamo(const grid::Torus& torus, const rules::Majorit
         while (more) {
             ColorField f(torus.size(), kWhite);
             for (const std::uint32_t v : comb) f[v] = kBlack;
-            SimulationOptions opts;
+            RunOptions opts;
             opts.target = kBlack;
-            const Trace trace = rules::simulate_majority(torus, f, rule, opts);
+            const RunResult trace = rules::simulate_majority(torus, f, rule, opts);
             if (trace.reached_mono(kBlack) && trace.monotone) return size;
             // next combination
             more = false;
@@ -105,9 +105,9 @@ int scenario_main(dynamo::scenario::Context& ctx) {
         grid::Torus torus(topo, 8, 8);
         const Configuration cfg = build_minimum_dynamo(torus);
         const ColorField bi = phi_collapse(cfg.field, cfg.k);
-        const Trace simple =
+        const RunResult simple =
             rules::simulate_majority(torus, bi, rules::reverse_simple_majority());
-        const Trace strong =
+        const RunResult strong =
             rules::simulate_majority(torus, bi, rules::reverse_strong_majority());
         flood.add_row("8x8", to_string(topo), cfg.seeds.size(),
                       yesno(simple.reached_mono(kBlack)), yesno(strong.reached_mono(kBlack)));

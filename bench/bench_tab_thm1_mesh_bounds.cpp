@@ -39,7 +39,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
             grid::Torus torus(grid::Topology::ToroidalMesh, m, n);
             const Configuration cfg = build_theorem2_configuration(torus);
             const ConditionReport rep = check_theorem_conditions(torus, cfg.field, cfg.k);
-            const Trace trace = run_traced(torus, cfg);
+            const RunResult trace = run_traced(torus, cfg);
             table.add_row(m, n, mesh_size_lower_bound(m, n), cfg.seeds.size(),
                           static_cast<int>(cfg.colors_used), rep.ok() ? "hold" : "VIOLATED",
                           yesno(trace.reached_mono(cfg.k) && trace.monotone), trace.rounds);

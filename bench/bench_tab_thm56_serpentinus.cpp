@@ -24,7 +24,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
             grid::Torus torus(grid::Topology::TorusSerpentinus, m, n);
             const Configuration cfg = build_theorem6_configuration(torus);
             const ConditionReport rep = check_theorem_conditions(torus, cfg.field, cfg.k);
-            const Trace trace = run_traced(torus, cfg);
+            const RunResult trace = run_traced(torus, cfg);
             table.add_row(m, n, n <= m ? "row (N=n)" : "column (N=m)",
                           serpentinus_size_lower_bound(m, n), cfg.seeds.size(),
                           static_cast<int>(cfg.colors_used), rep.ok() ? "hold" : "VIOLATED",

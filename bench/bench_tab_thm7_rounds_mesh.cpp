@@ -26,7 +26,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
         for (std::uint32_t n = 3; n <= max_dim; n += (n < 9 ? 1 : 2)) {
             grid::Torus torus(grid::Topology::ToroidalMesh, m, n);
             const Configuration cfg = build_full_cross_configuration(torus);
-            const Trace trace = run_traced(torus, cfg);
+            const RunResult trace = run_traced(torus, cfg);
             const std::uint32_t paper = mesh_rounds_paper(m, n);
             const std::uint32_t derived = mesh_rounds_cross_derived(m, n);
             cross.add_row(m, n, trace.rounds, paper, match_tag(trace.rounds, paper), derived,
@@ -51,7 +51,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
         for (std::uint32_t n = 3; n <= max_dim; n += 2) {
             grid::Torus torus(grid::Topology::ToroidalMesh, m, n);
             const Configuration cfg = build_theorem2_configuration(torus);
-            const Trace trace = run_traced(torus, cfg);
+            const RunResult trace = run_traced(torus, cfg);
             const std::uint32_t derived = mesh_rounds_cross_derived(m, n);
             minimal.add_row(m, n, trace.rounds, derived, match_tag(trace.rounds, derived));
             ++total2;

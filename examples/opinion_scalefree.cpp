@@ -14,8 +14,8 @@
 #include <numeric>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
 #include "core/run/batch.hpp"
+#include "core/run/simulate.hpp"
 #include "graph/builder.hpp"
 #include "graph/plurality.hpp"
 #include "util/cli.hpp"
@@ -106,7 +106,7 @@ int scenario_main(dynamo::scenario::Context& ctx) {
                  "Theorem-2 seeding reaches full consensus with only m+n-2 = ";
     grid::Torus torus(grid::Topology::ToroidalMesh, 22, 23);
     const Configuration cfg = build_theorem2_configuration(torus);
-    const Trace trace = simulate(torus, cfg.field);
+    const RunResult trace = simulate(torus, cfg.field);
     out << cfg.seeds.size() << " of " << torus.size() << " agents ("
               << (trace.termination == Termination::Monochromatic ? "verified" : "FAILED")
               << ", " << trace.rounds << " rounds) - structure substitutes for budget when\n"

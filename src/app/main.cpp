@@ -28,11 +28,12 @@
 //          [--out=FILE]
 //   dynamo cache stats|clear|merge [--cache-dir=DIR]
 //
-// The seed-era bench/example binaries are wrappers over the same registry
-// (app/compat_stub.cpp), so `bench_tab_thm1_mesh_bounds --max-dim=8` and
-// `dynamo run tab_thm1_mesh_bounds --max-dim=8` print the same report.
+// Every paper table, figure, bench report and example is a registered
+// scenario reached through `dynamo run <name>`; the google-benchmark suite
+// bench_perf_engine is the only other executable.
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
@@ -160,13 +161,12 @@ int cmd_run(int argc, char** argv) {
 void parse_shard_spec(const std::string& spec, unsigned& index, unsigned& count) {
     const std::size_t slash = spec.find('/');
     const auto parse_unsigned = [&spec](const std::string& text) -> unsigned {
-        if (text.empty()) throw std::invalid_argument("bad --shard '" + spec + "' (want K/N)");
+        // Digits only, and no wrap: 4294967297 is refused, not read as 1.
         unsigned value = 0;
-        for (const char c : text) {
-            if (c < '0' || c > '9')
-                throw std::invalid_argument("bad --shard '" + spec + "' (want K/N)");
-            value = value * 10 + static_cast<unsigned>(c - '0');
-        }
+        const char* end = text.data() + text.size();
+        const auto [stop, error] = std::from_chars(text.data(), end, value);
+        if (error != std::errc() || stop != end)
+            throw std::invalid_argument("bad --shard '" + spec + "' (want K/N)");
         return value;
     };
     if (slash == std::string::npos)

@@ -23,7 +23,7 @@ std::string DynamoVerdict::summary() const {
 
 DynamoVerdict verify_dynamo(const grid::Torus& torus, const ColorField& initial, Color k,
                             ThreadPool* pool) {
-    SimulationOptions opts;
+    RunOptions opts;
     opts.target = k;
     opts.pool = pool;
     DynamoVerdict verdict;

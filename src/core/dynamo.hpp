@@ -12,7 +12,7 @@
 #include <string>
 
 #include "core/blocks.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "core/sim/packed_engine.hpp"
 
 namespace dynamo {
@@ -24,7 +24,7 @@ struct RuleInfo;
 struct DynamoVerdict {
     bool is_dynamo = false;    ///< reached the k-monochromatic configuration
     bool is_monotone = false;  ///< and the k-set never shrank (Definition 3)
-    Trace trace;               ///< full simulation evidence
+    RunResult trace;           ///< full simulation evidence
 
     /// Short human-readable explanation for benches and error messages.
     std::string summary() const;
@@ -34,9 +34,9 @@ struct DynamoVerdict {
 DynamoVerdict verify_dynamo(const grid::Torus& torus, const ColorField& initial, Color k,
                             ThreadPool* pool = nullptr);
 
-/// Trace-free verdict for search inner loops: same classification as
+/// Evidence-free verdict for search inner loops: same classification as
 /// verify_dynamo, but simulated on the packed full-sweep engine via
-/// run_to_terminal without retaining the evidence Trace. Semantically
+/// run_to_terminal without retaining the RunResult. Semantically
 /// identical (the engines are bit-identical; tests/test_search_parallel.cpp
 /// cross-checks the verdicts), just cheaper per candidate.
 struct QuickVerdict {

@@ -2,11 +2,9 @@
 //
 // Terminal classification and the result record of a simulation run.
 //
-// RunResult supersedes the seed driver's Trace: one record shared by every
-// engine (packed full sweep, active-set fast path, generic rules, general
-// graphs, temporal links) and every run driver. `Trace` remains as a thin
-// alias so seed-era call sites compile unchanged; field names and semantics
-// are identical to the seed driver bit for bit.
+// RunResult is one record shared by every engine (packed full sweep,
+// active-set fast path, generic rules, general graphs, temporal links) and
+// every run driver.
 #pragma once
 
 #include <cstdint>
@@ -68,9 +66,6 @@ struct RunResult {
         return termination == Termination::Monochromatic && mono && *mono == k;
     }
 };
-
-/// Seed-era name for RunResult, kept so all existing call sites compile.
-using Trace = RunResult;
 
 /// The part of a RunResult a Monte-Carlo trial keeps: how and when the run
 /// ended, plus how many vertices hold the trial's target color k at

@@ -72,9 +72,6 @@ struct RunOptions {
     std::vector<Observer*> observers;
 };
 
-/// Seed-era name for RunOptions, kept so all existing call sites compile.
-using SimulationOptions = RunOptions;
-
 /// Anything run_to_terminal can drive: one synchronous round per step()
 /// returning the number of changed vertices, plus state access.
 template <typename E>

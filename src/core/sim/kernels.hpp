@@ -90,12 +90,6 @@ struct SmpRule {
     }
 };
 
-/// Seed-era name for the SMP cell kernel, kept so existing call sites
-/// (tests, benches) compile unchanged.
-constexpr Color smp_next(Color own, Color a, Color b, Color c, Color d) noexcept {
-    return SmpRule::next(own, a, b, c, d);
-}
-
 /// Stencil sweep of one row restricted to interior columns [jlo, jhi),
 /// 1 <= jlo <= jhi <= n-1. `up` / `row` / `down` point at the start of the
 /// three source rows, `out` at the start of the destination row. Returns

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/coloring.hpp"
-#include "core/engine.hpp"
+#include "core/run/result.hpp"
 #include "grid/torus.hpp"
 
 namespace dynamo::io {
@@ -20,13 +20,13 @@ namespace dynamo::io {
 /// in color order.
 std::string render_field(const grid::Torus& torus, const ColorField& field, Color k);
 
-/// Render per-vertex adoption rounds (Trace::k_time) as an aligned numeric
+/// Render per-vertex adoption rounds (RunResult::k_time) as an aligned numeric
 /// matrix - the format of the paper's Figures 5 and 6. Vertices that never
 /// adopted print as '.'.
 std::string render_time_matrix(const grid::Torus& torus,
                                const std::vector<std::uint32_t>& k_time);
 
-/// One-line wavefront profile: "r0:a r1:b ..." from Trace::newly_k.
+/// One-line wavefront profile: "r0:a r1:b ..." from RunResult::newly_k.
 std::string render_wavefront(const std::vector<std::uint32_t>& newly_k);
 
 } // namespace dynamo::io

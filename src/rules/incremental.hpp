@@ -22,7 +22,7 @@
 //
 // This realizes the paper's X2 extension experiment; its dynamics differ
 // qualitatively from SMP (gradual fronts, longer convergence), which
-// bench_tab_ext_incremental quantifies - on the packed path since the
+// the tab_ext_incremental scenario quantifies - on the packed path since the
 // rule-generic engines landed.
 #pragma once
 

@@ -38,13 +38,12 @@
 namespace dynamo::rules {
 
 enum class MajorityKind : std::uint8_t { Simple, Strong };
-using TiePolicy = sim::TiePolicy;  ///< moved next to the LocalRule concept
 
 /// Engine rule functor for the bi-color majority protocols: the
 /// runtime-configured reference form.
 struct MajorityRule {
     MajorityKind kind = MajorityKind::Simple;
-    TiePolicy tie = TiePolicy::PreferBlack;
+    sim::TiePolicy tie = sim::TiePolicy::PreferBlack;
     /// Black is absorbing (the "reverse"/monotone fault semantics of [15]).
     bool irreversible = true;
 
@@ -60,7 +59,7 @@ struct MajorityRule {
             } else if (white > black) {
                 next = kWhite;
             } else {  // 2-2 tie
-                next = (tie == TiePolicy::PreferBlack) ? kBlack : own;
+                next = (tie == sim::TiePolicy::PreferBlack) ? kBlack : own;
             }
         } else {  // Strong: need >= 3
             if (black >= 3) {
@@ -80,14 +79,14 @@ struct MajorityRule {
 /// The same decision as a branchless LocalRule, monomorphized per
 /// configuration: select-only over the black tally, so the stencil sweep
 /// vectorizes it like the SMP kernel.
-template <MajorityKind K, TiePolicy T, bool Irrev>
+template <MajorityKind K, sim::TiePolicy T, bool Irrev>
 struct Majority {
     static constexpr const char* kName =
         K == MajorityKind::Simple
-            ? (Irrev ? (T == TiePolicy::PreferBlack ? "irreversible-majority"
-                                                    : "irreversible-majority-prefer-current")
-                     : (T == TiePolicy::PreferBlack ? "majority-prefer-black"
-                                                    : "majority-prefer-current"))
+            ? (Irrev ? (T == sim::TiePolicy::PreferBlack ? "irreversible-majority"
+                                                         : "irreversible-majority-prefer-current")
+                     : (T == sim::TiePolicy::PreferBlack ? "majority-prefer-black"
+                                                         : "majority-prefer-current"))
             : (Irrev ? "irreversible-strong-majority" : "strong-majority");
     static constexpr Color kMinColors = 2;
     static constexpr Color kMaxColors = 2;  // bi-color: fixed white/black roles
@@ -100,7 +99,7 @@ struct Majority {
                                                              (c == kBlack) + (d == kBlack));
         Color out;
         if constexpr (K == MajorityKind::Simple) {
-            const Color on_tie = T == TiePolicy::PreferBlack ? kBlack : own;
+            const Color on_tie = T == sim::TiePolicy::PreferBlack ? kBlack : own;
             out = black > 2 ? kBlack : (black < 2 ? kWhite : on_tie);
         } else {
             out = black >= 3 ? kBlack : (black <= 1 ? kWhite : own);
@@ -110,23 +109,24 @@ struct Majority {
     }
 };
 
-using MajorityPreferBlack = Majority<MajorityKind::Simple, TiePolicy::PreferBlack, false>;
-using MajorityPreferCurrent = Majority<MajorityKind::Simple, TiePolicy::PreferCurrent, false>;
-using StrongMajority = Majority<MajorityKind::Strong, TiePolicy::PreferBlack, false>;
-using IrreversibleMajority = Majority<MajorityKind::Simple, TiePolicy::PreferBlack, true>;
+using MajorityPreferBlack = Majority<MajorityKind::Simple, sim::TiePolicy::PreferBlack, false>;
+using MajorityPreferCurrent = Majority<MajorityKind::Simple, sim::TiePolicy::PreferCurrent, false>;
+using StrongMajority = Majority<MajorityKind::Strong, sim::TiePolicy::PreferBlack, false>;
+using IrreversibleMajority = Majority<MajorityKind::Simple, sim::TiePolicy::PreferBlack, true>;
 using IrreversibleMajorityPreferCurrent =
-    Majority<MajorityKind::Simple, TiePolicy::PreferCurrent, true>;
-using IrreversibleStrongMajority = Majority<MajorityKind::Strong, TiePolicy::PreferBlack, true>;
+    Majority<MajorityKind::Simple, sim::TiePolicy::PreferCurrent, true>;
+using IrreversibleStrongMajority =
+    Majority<MajorityKind::Strong, sim::TiePolicy::PreferBlack, true>;
 
 /// Convenience: the canonical rule variants named in the papers.
 inline constexpr MajorityRule reverse_simple_majority() noexcept {
-    return MajorityRule{MajorityKind::Simple, TiePolicy::PreferBlack, true};
+    return MajorityRule{MajorityKind::Simple, sim::TiePolicy::PreferBlack, true};
 }
 inline constexpr MajorityRule reverse_strong_majority() noexcept {
-    return MajorityRule{MajorityKind::Strong, TiePolicy::PreferBlack, true};
+    return MajorityRule{MajorityKind::Strong, sim::TiePolicy::PreferBlack, true};
 }
 inline constexpr MajorityRule simple_majority_prefer_current() noexcept {
-    return MajorityRule{MajorityKind::Simple, TiePolicy::PreferCurrent, false};
+    return MajorityRule{MajorityKind::Simple, sim::TiePolicy::PreferCurrent, false};
 }
 
 /// Simulate a bi-colored field under a majority rule, through the shared
@@ -138,7 +138,7 @@ inline RunResult simulate_majority(const grid::Torus& torus, const ColorField& i
                                    const MajorityRule& rule, const RunOptions& options = {}) {
     DYNAMO_REQUIRE(is_bicolored(initial), "majority baselines require a bi-colored field");
     if (rule.kind == MajorityKind::Simple) {
-        if (rule.tie == TiePolicy::PreferBlack) {
+        if (rule.tie == sim::TiePolicy::PreferBlack) {
             return rule.irreversible ? simulate_as<IrreversibleMajority>(torus, initial, options)
                                      : simulate_as<MajorityPreferBlack>(torus, initial, options);
         }

@@ -82,7 +82,7 @@ struct RuleInfo {
     /// because all are slot-symmetric; throws std::invalid_argument when
     /// the graph is not 4-regular.
     RunResult (*run_graph)(const graphx::Graph&, const ColorField&, const RunOptions&);
-    /// Trace-free verdict under this rule (field in the RULE's own color
+    /// Evidence-free verdict under this rule (field in the RULE's own color
     /// conventions, k the flooding target).
     QuickVerdict (*quick_verify)(const grid::Torus&, const ColorField&, Color k);
     /// Search-convention verifier factory (see RuleVerifier).

@@ -5,7 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <iostream>
+#include <ostream>
 #include <sstream>
 
 #include "core/run/backend.hpp"
@@ -164,23 +164,6 @@ std::string validate_args(const Scenario& s, const CliArgs& args, bool strict) {
 
 int run(const Scenario& s, Context& ctx) { return s.fn(ctx); }
 
-int compat_main(const char* scenario_name, int argc, const char* const* argv) {
-    const Scenario* s = find(scenario_name);
-    if (s == nullptr) {
-        std::cerr << "internal error: scenario '" << scenario_name
-                  << "' is not registered (compat wrapper misconfigured)\n";
-        return 2;
-    }
-    try {
-        const CliArgs args(argc, argv, grammar(*s));
-        Context ctx{args, std::cout, {}};
-        return run(*s, ctx);
-    } catch (const std::exception& e) {
-        std::cerr << argv[0] << ": " << e.what() << "\n";
-        return 2;
-    }
-}
-
 void print_list(std::ostream& out, bool markdown) {
     const auto scenarios = all();
     if (!markdown) {
@@ -202,10 +185,9 @@ void print_list(std::ostream& out, bool markdown) {
         << "Generated by `dynamo list --markdown`. Do not edit by hand: CI fails when this\n"
         << "file drifts from the registry — regenerate with\n"
         << "`./build/dynamo list --markdown > docs/scenarios.md`.\n\n"
-        << "Run any scenario with `dynamo run <name> [--param=value ...]`; the seed-era\n"
-        << "binary names (`bench_tab_*`, `bench_fig*`, `example_*`) remain as wrappers over\n"
-        << "the same registrations. See [manifest-format.md](manifest-format.md) for\n"
-        << "sweeping a scenario over a parameter grid with `dynamo campaign`.\n\n"
+        << "Run any scenario with `dynamo run <name> [--param=value ...]`. See\n"
+        << "[manifest-format.md](manifest-format.md) for sweeping a scenario over a\n"
+        << "parameter grid with `dynamo campaign`.\n\n"
         << "| scenario | kind | parameters | summary |\n"
         << "|---|---|---|---|\n";
     for (const Scenario* s : scenarios) {

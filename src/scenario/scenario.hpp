@@ -4,17 +4,13 @@
 // example, and the perf/search benches register here as a named scenario
 // with a typed parameter schema and an entry function. One `dynamo` CLI
 // binary lists, describes, and runs them; the campaign driver
-// (scenario/campaign.hpp) sweeps them over parameter grids; and the
-// seed-era binary names (bench_tab_*, bench_fig*, example_*) survive as
-// two-line wrappers that dispatch into this registry (app/compat_stub.cpp)
-// so committed workflows keep producing byte-identical reports.
+// (scenario/campaign.hpp) sweeps them over parameter grids.
 //
 // A scenario's contract:
 //   * it reads parameters only through ctx.args (declared in its schema —
-//     `dynamo run` and the campaign driver validate against it; the compat
-//     wrappers stay permissive like the seed binaries were);
+//     `dynamo run` and the campaign driver validate against it);
 //   * it writes its human-readable report to ctx.out (std::cout under the
-//     CLI/wrappers, a private buffer under the campaign driver — so
+//     CLI, a private buffer under the campaign driver — so
 //     scenarios must not write to std::cout directly);
 //   * it may record machine-readable results in ctx.metrics (what the
 //     result cache keys on and campaigns aggregate);
@@ -46,7 +42,7 @@ enum class ParamType {
     Flag,
     /// `--key[=value]`: a flag that may carry a value via the '=' form
     /// (e.g. --json-report[=FILE]). Parses under the greedy fallback rule
-    /// of util/cli.hpp, exactly like the seed-era binaries did.
+    /// of util/cli.hpp.
     OptValue,
     /// A registered local-rule name (rules/registry.hpp): `--rule=smp`,
     /// `--rule=majority-prefer-black`, ... Validation resolves the value
@@ -129,12 +125,6 @@ std::string validate_args(const Scenario& s, const CliArgs& args, bool strict);
 
 /// Run with already-parsed args. Exceptions escape to the caller.
 int run(const Scenario& s, Context& ctx);
-
-/// Entry point of the compatibility wrappers: parse argv with the
-/// scenario's grammar (permissive about unknown keys, exactly like the
-/// seed binaries), run against std::cout, return the scenario's exit
-/// code. Unknown scenario names abort loudly — that is a build bug.
-int compat_main(const char* scenario_name, int argc, const char* const* argv);
 
 /// `dynamo list` / `dynamo list --markdown`: the scenario catalog. The
 /// markdown form is committed as docs/scenarios.md and CI-gated against

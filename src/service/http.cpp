@@ -5,12 +5,15 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -46,6 +49,13 @@ std::string trim(const std::string& s) {
 /// Hard ceiling on request bodies (manifests are a few KB; anything near
 /// this is abuse or a bug): 8 MiB.
 constexpr std::size_t kMaxBody = 8u << 20;
+
+/// One deadline for reading a whole request, counted from accept(). The
+/// loop is serial, so a peer that connects and then stalls (idle, or a
+/// half-sent head or body) would otherwise hold every other client off
+/// until it closed; past the deadline it gets 400 instead. Loopback
+/// clients send a request in one write, far inside this.
+constexpr std::chrono::milliseconds kRequestDeadline{1000};
 
 } // namespace
 
@@ -139,6 +149,7 @@ void HttpServer::serve_forever(
         }
 
         // Read head, then exactly Content-Length body bytes.
+        const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
         std::string data;
         char buf[4096];
         bool bad_request = false;
@@ -155,9 +166,13 @@ void HttpServer::serve_forever(
                     }
                     const auto it = parsed->headers.find("content-length");
                     if (it != parsed->headers.end()) {
-                        try {
-                            content_length = std::stoul(it->second);
-                        } catch (const std::exception&) {
+                        // Digits only: "-1" and "0junk" are malformed, not
+                        // a wrapped or truncated length.
+                        const std::string& text = it->second;
+                        const char* end = text.data() + text.size();
+                        const auto [stop, error] =
+                            std::from_chars(text.data(), end, content_length);
+                        if (error != std::errc() || stop != end) {
                             bad_request = true;
                             break;
                         }
@@ -170,6 +185,13 @@ void HttpServer::serve_forever(
                 }
             }
             if (need != std::string::npos && data.size() >= need) break;
+            const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                deadline - std::chrono::steady_clock::now());
+            pollfd pfd{fd, POLLIN, 0};
+            const int ready =
+                left.count() > 0 ? ::poll(&pfd, 1, static_cast<int>(left.count())) : 0;
+            if (ready < 0 && errno == EINTR) continue;
+            if (ready <= 0) break;  // deadline passed: short request, answered 400 below
             const ssize_t n = ::read(fd, buf, sizeof(buf));
             if (n <= 0) break;  // peer closed or reset: answered below, short body is 400
             data.append(buf, static_cast<std::size_t>(n));

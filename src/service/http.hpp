@@ -5,8 +5,9 @@
 // the JSON side. Scope is deliberately narrow: loopback only (the server
 // binds 127.0.0.1 — fronting it with TLS/auth is a reverse proxy's job),
 // Content-Length bodies only (no chunked transfer), one connection at a
-// time (campaign jobs run on the worker pool; the HTTP loop only routes),
-// and every response closes its connection.
+// time (campaign jobs run on the worker pool; the HTTP loop only routes)
+// with a 1 s deadline for reading each request, and every response closes
+// its connection.
 //
 // The parsing/serialization half (HttpRequest/HttpResponse and the
 // functions below) is pure string work, unit-tested without sockets;
@@ -71,8 +72,9 @@ class HttpServer {
     std::uint16_t port() const noexcept { return port_; }
 
     /// Accepts and answers connections until stop(). A connection that
-    /// sends garbage gets 400 and is closed; handler exceptions become
-    /// 500 — the serve loop itself never throws once entered.
+    /// sends garbage, or has not sent a whole request 1 s after accept(),
+    /// gets 400 and is closed; handler exceptions become 500 — the serve
+    /// loop itself never throws once entered.
     void serve_forever(const std::function<HttpResponse(const HttpRequest&)>& handler);
 
     /// Thread-safe; idempotent. Unblocks the accept loop.

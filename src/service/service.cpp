@@ -5,6 +5,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <ostream>
 #include <sstream>
 
@@ -47,12 +48,10 @@ bool parse_job_target(const std::string& target, std::uint64_t& id, std::string&
     const std::string rest = target.substr(prefix.size());
     const std::size_t slash = rest.find('/');
     const std::string id_text = rest.substr(0, slash);
-    if (id_text.empty()) return false;
-    id = 0;
-    for (const char c : id_text) {
-        if (c < '0' || c > '9') return false;
-        id = id * 10 + static_cast<std::uint64_t>(c - '0');
-    }
+    // Digits only, and no wrap: an id past 2^64-1 names no campaign.
+    const char* end = id_text.data() + id_text.size();
+    const auto [stop, error] = std::from_chars(id_text.data(), end, id);
+    if (error != std::errc() || stop != end) return false;
     tail = slash == std::string::npos ? std::string() : rest.substr(slash);
     return true;
 }

@@ -1,7 +1,6 @@
 // dynamo/util/cli.hpp
 //
-// Tiny argument parser shared by the `dynamo` CLI, the scenario layer,
-// and the compatibility bench/example wrappers.
+// Tiny argument parser shared by the `dynamo` CLI and the scenario layer.
 //
 // Grammar actually parsed (exactly this, nothing more):
 //

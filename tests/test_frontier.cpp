@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
-#include "core/frontier_engine.hpp"
+#include "core/run/runner.hpp"
+#include "core/run/simulate.hpp"
+#include "core/sim/active_engine.hpp"
+#include "core/sync_engine.hpp"
 #include "util/rng.hpp"
 
 namespace dynamo {
@@ -24,7 +26,7 @@ TEST(FrontierEngine, MatchesFullSweepOnRandomFields) {
             for (auto& c : f) c = static_cast<Color>(1 + rng.below(4));
 
             SyncEngine full(t, f);
-            FrontierEngine frontier(t, f);
+            sim::ActiveEngine frontier(t, f);
             for (int r = 0; r < 40; ++r) {
                 const std::size_t ca = full.step();
                 const std::size_t cb = frontier.step();
@@ -45,7 +47,7 @@ TEST(FrontierEngine, MatchesFullSweepThroughOscillations) {
         f[v] = ((c.i + c.j) % 2 == 0) ? 1 : 2;
     }
     SyncEngine full(t, f);
-    FrontierEngine frontier(t, f);
+    sim::ActiveEngine frontier(t, f);
     for (int r = 0; r < 10; ++r) {
         full.step();
         frontier.step();
@@ -58,10 +60,13 @@ TEST(FrontierEngine, DynamoRunsReachTheSameFixedPoint) {
          {Topology::ToroidalMesh, Topology::TorusCordalis, Topology::TorusSerpentinus}) {
         Torus t(topo, 11, 9);
         const Configuration cfg = build_minimum_dynamo(t);
-        const Trace reference = simulate(t, cfg.field);
+        const RunResult reference = simulate(t, cfg.field);
 
-        FrontierEngine engine(t, cfg.field);
-        const std::uint32_t rounds = frontier_run(engine, 4 * static_cast<std::uint32_t>(t.size()));
+        sim::ActiveEngine engine(t, cfg.field);
+        RunOptions opts;
+        opts.max_rounds = 4 * static_cast<std::uint32_t>(t.size());
+        opts.detect_cycles = false;
+        const std::uint32_t rounds = run_to_terminal(engine, opts).rounds;
         EXPECT_EQ(rounds, reference.rounds) << to_string(topo);
         EXPECT_TRUE(is_monochromatic(engine.colors(), cfg.k)) << to_string(topo);
     }
@@ -72,7 +77,7 @@ TEST(FrontierEngine, FrontierShrinksToTheWave) {
     // the whole point of the ablation.
     Torus t(Topology::ToroidalMesh, 40, 40);
     const Configuration cfg = build_theorem2_configuration(t);
-    FrontierEngine engine(t, cfg.field);
+    sim::ActiveEngine engine(t, cfg.field);
     engine.step();  // full first sweep
     engine.step();
     // The wave involves O(m+n) cells per round; allow generous slack.
@@ -83,7 +88,7 @@ TEST(FrontierEngine, FrontierShrinksToTheWave) {
 TEST(FrontierEngine, StallPatternEmptiesTheFrontierImmediately) {
     Torus t(Topology::ToroidalMesh, 8, 9);
     const Configuration cfg = build_fig4_stalled_configuration(t);
-    FrontierEngine engine(t, cfg.field);
+    sim::ActiveEngine engine(t, cfg.field);
     EXPECT_EQ(engine.step(), 0u);
     EXPECT_EQ(engine.frontier_size(), 0u);
     EXPECT_EQ(engine.colors(), cfg.field);
@@ -93,7 +98,7 @@ TEST(FrontierEngine, RejectsIncompleteFields) {
     Torus t(Topology::ToroidalMesh, 4, 4);
     ColorField bad(t.size(), 1);
     bad[0] = kUnset;
-    EXPECT_THROW(FrontierEngine(t, bad), std::invalid_argument);
+    EXPECT_THROW(sim::ActiveEngine(t, bad), std::invalid_argument);
 }
 
 } // namespace

@@ -6,7 +6,7 @@
 #include <set>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/plurality.hpp"
@@ -113,7 +113,7 @@ TEST(PluralityEngine, MatchesTorusEngineOnAdaptedGraphs) {
         const Configuration cfg = build_minimum_dynamo(t);
         const Graph g = from_torus(t);
 
-        const Trace torus_trace = simulate(t, cfg.field);
+        const RunResult torus_trace = simulate(t, cfg.field);
         GraphSimulationOptions gopts;
         gopts.threshold = PluralityThreshold::AtLeastTwo;
         gopts.target = cfg.k;

@@ -13,7 +13,6 @@
 #include "analysis/histogram.hpp"
 #include "analysis/survival.hpp"
 #include "core/builders.hpp"
-#include "core/engine.hpp"
 #include "core/sim/csr_graph_engine.hpp"
 #include "core/sim/kernels.hpp"
 #include "core/transform.hpp"

@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
 #include "io/ascii.hpp"
 #include "io/csv.hpp"
 #include "io/ppm.hpp"

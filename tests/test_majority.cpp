@@ -14,7 +14,7 @@ using grid::Topology;
 using grid::Torus;
 using rules::MajorityKind;
 using rules::MajorityRule;
-using rules::TiePolicy;
+using sim::TiePolicy;
 
 TEST(MajorityRule, SimplePreferBlackTieGoesBlack) {
     const MajorityRule rule{MajorityKind::Simple, TiePolicy::PreferBlack, false};
@@ -59,9 +59,9 @@ TEST(MajorityBaseline, IrreversibleRunsAreMonotone) {
     Torus t(Topology::ToroidalMesh, 8, 8);
     ColorField f(t.size(), kWhite);
     for (const grid::VertexId v : full_cross_seeds(t)) f[v] = kBlack;
-    SimulationOptions opts;
+    RunOptions opts;
     opts.target = kBlack;
-    const Trace trace =
+    const RunResult trace =
         rules::simulate_majority(t, f, rules::reverse_simple_majority(), opts);
     EXPECT_TRUE(trace.monotone);
     EXPECT_TRUE(trace.reached_mono(kBlack));
@@ -74,7 +74,7 @@ TEST(MajorityBaseline, FullCrossIsADynamoUnderReverseSimpleMajority) {
         Torus t(Topology::ToroidalMesh, s, s);
         ColorField f(t.size(), kWhite);
         for (const grid::VertexId v : full_cross_seeds(t)) f[v] = kBlack;
-        const Trace trace = rules::simulate_majority(t, f, rules::reverse_simple_majority());
+        const RunResult trace = rules::simulate_majority(t, f, rules::reverse_simple_majority());
         EXPECT_TRUE(trace.reached_mono(kBlack)) << s;
     }
 }
@@ -85,7 +85,7 @@ TEST(MajorityBaseline, StrongMajorityNeedsMoreThanTheCross) {
     Torus t(Topology::ToroidalMesh, 8, 8);
     ColorField f(t.size(), kWhite);
     for (const grid::VertexId v : full_cross_seeds(t)) f[v] = kBlack;
-    const Trace trace = rules::simulate_majority(t, f, rules::reverse_strong_majority());
+    const RunResult trace = rules::simulate_majority(t, f, rules::reverse_strong_majority());
     EXPECT_FALSE(trace.reached_mono(kBlack));
 }
 
@@ -96,7 +96,7 @@ TEST(MajorityBaseline, Proposition1CollapseOfSmpDynamoFloodsUnderSimpleMajority)
         Torus t(topo, 7, 7);
         const Configuration cfg = build_minimum_dynamo(t);
         ColorField bi = phi_collapse(cfg.field, cfg.k);
-        const Trace trace = rules::simulate_majority(t, bi, rules::reverse_simple_majority());
+        const RunResult trace = rules::simulate_majority(t, bi, rules::reverse_simple_majority());
         EXPECT_TRUE(trace.reached_mono(kBlack)) << to_string(topo);
     }
 }
@@ -113,7 +113,7 @@ TEST(MajorityBaseline, PreferCurrentCheckerboardIsStable) {
     // Every vertex sees 4 of the opposite color -> unanimous flip under PC
     // as well (no tie); use the column-stripe stall instead.
     for (grid::VertexId v = 0; v < t.size(); ++v) f[v] = (t.coord(v).j % 2) ? kBlack : kWhite;
-    const Trace trace = rules::simulate_majority(
+    const RunResult trace = rules::simulate_majority(
         t, f, rules::simple_majority_prefer_current());
     EXPECT_EQ(trace.termination, Termination::FixedPoint);
     EXPECT_EQ(trace.total_recolorings, 0u);
@@ -127,7 +127,7 @@ TEST(MajorityBaseline, PreferBlackBreaksTheStripeStall) {
     ColorField f(t.size());
     for (grid::VertexId v = 0; v < t.size(); ++v) f[v] = (t.coord(v).j % 2) ? kBlack : kWhite;
     const MajorityRule pb{MajorityKind::Simple, TiePolicy::PreferBlack, false};
-    const Trace trace = rules::simulate_majority(t, f, pb);
+    const RunResult trace = rules::simulate_majority(t, f, pb);
     EXPECT_TRUE(trace.reached_mono(kBlack));
     EXPECT_EQ(trace.rounds, 1u);
 }

@@ -58,7 +58,7 @@ void expect_kernel_matches(const Ref& ref) {
 TEST(RuleKernels, EveryBranchlessKernelMatchesItsReferenceFunctor) {
     using rules::MajorityKind;
     using rules::MajorityRule;
-    using rules::TiePolicy;
+    using sim::TiePolicy;
     expect_kernel_matches<sim::SmpRule>(
         [](Color own, const std::array<Color, grid::kDegree>& nbr) {
             return smp_update(own, nbr);

@@ -1,18 +1,18 @@
 // Run-API tests: backend-independent terminal-round semantics (one Runner
 // over packed / active / generic engines, bit-identical RunResults),
 // ActiveEngine terminal behaviours driven through the Runner, observer
-// composition (census series, frame dumper, cycle detector), the
-// frontier_run compatibility shim, GraphEngine under the shared Runner,
-// and BatchRunner substream determinism.
+// composition (census series, frame dumper, cycle detector), GraphEngine
+// under the shared Runner, and BatchRunner substream determinism.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "analysis/census_series.hpp"
 #include "core/builders.hpp"
-#include "core/frontier_engine.hpp"
 #include "core/run/batch.hpp"
+#include "core/run/runner.hpp"
 #include "core/run/simulate.hpp"
+#include "core/sim/active_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_engine.hpp"
 #include "io/frame_dumper.hpp"
@@ -144,8 +144,7 @@ TEST(RunBackends, EveryRegisteredRuleIsBitIdenticalAcrossBackends) {
 
 TEST(RunBackends, TerminalRoundSemanticsAgreeOnQuiescence) {
     // Satellite: quiescence accounting is defined once. A run that stalls
-    // on round r reports r-1 on every backend, and frontier_run (the old
-    // second implementation) agrees with simulate() by construction.
+    // on round r reports r-1 on every backend.
     Torus t(Topology::ToroidalMesh, 6, 7);  // the Fig-4 pattern is mesh-only
     const Configuration cfg = build_fig4_stalled_configuration(t);
     for (const Backend backend : kBackends) {
@@ -164,15 +163,21 @@ TEST(RunBackends, FrontierRunAgreesWithSimulateRounds) {
         const Configuration cfg = build_minimum_dynamo(t);
         const RunResult reference = simulate(t, cfg.field);
 
-        FrontierEngine engine(t, cfg.field);
-        const std::uint32_t rounds = frontier_run(engine, auto_round_cap(t.size()));
+        sim::ActiveEngine engine(t, cfg.field);
+        RunOptions opts;
+        opts.max_rounds = auto_round_cap(t.size());
+        opts.detect_cycles = false;
+        const std::uint32_t rounds = run_to_terminal(engine, opts).rounds;
         EXPECT_EQ(rounds, reference.rounds) << to_string(topo);
         EXPECT_EQ(engine.colors(), reference.final_colors) << to_string(topo);
     }
     // Initially monochromatic: 0 rounds, no stepping needed to know it.
     Torus t(Topology::ToroidalMesh, 5, 5);
-    FrontierEngine engine(t, ColorField(t.size(), 2));
-    EXPECT_EQ(frontier_run(engine, 100), 0u);
+    sim::ActiveEngine engine(t, ColorField(t.size(), 2));
+    RunOptions opts;
+    opts.max_rounds = 100;
+    opts.detect_cycles = false;
+    EXPECT_EQ(run_to_terminal(engine, opts).rounds, 0u);
     EXPECT_EQ(engine.round(), 0u);
 }
 
@@ -249,17 +254,6 @@ TEST(RunBackends, UnsupportedRuleBackendCombinationsFailLoudly) {
             EXPECT_EQ(rules::backend_support_error(backend, *rule), "") << rule->name;
         }
     }
-}
-
-TEST(RunBackends, FrontierRunZeroCapExecutesNoRounds) {
-    // Seed contract: max_rounds = 0 means "do not step" (the runner would
-    // read 0 as the automatic cap).
-    Torus t(Topology::ToroidalMesh, 6, 6);
-    const Configuration cfg = build_theorem2_configuration(t);
-    FrontierEngine engine(t, cfg.field);
-    EXPECT_EQ(frontier_run(engine, 0), 0u);
-    EXPECT_EQ(engine.round(), 0u);
-    EXPECT_EQ(engine.colors(), cfg.field);
 }
 
 TEST(RunBackends, CycleDetectionRejectedForTimeVaryingRules) {

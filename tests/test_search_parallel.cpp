@@ -231,7 +231,7 @@ TEST(ParallelSearch, TruncationIsReportedIdenticallySerialAndPooled) {
 
 TEST(ParallelSearch, QuickVerdictMatchesVerifyDynamo) {
     // The search verifies through quick_verify_dynamo (packed engine via
-    // run_to_terminal); it must classify exactly like the Trace-carrying
+    // run_to_terminal); it must classify exactly like the RunResult-carrying
     // verify_dynamo on random fields and on known dynamos.
     Xoshiro256 rng(0x9d1);
     for (const Topology topo :

@@ -6,7 +6,8 @@
 #include "core/builders.hpp"
 #include "core/conditions.hpp"
 #include "core/dynamo.hpp"
-#include "core/search.hpp"
+#include "core/search/enumerate.hpp"
+#include "core/search/types.hpp"
 #include "core/solver.hpp"
 #include "core/transform.hpp"
 

@@ -492,6 +492,8 @@ TEST(Service, RoutesTheWholeEndpointSurface) {
     EXPECT_EQ(parsed.find("status")->as_string(), "done");
     EXPECT_EQ(parsed.find("settled")->as_int(), 6);
     EXPECT_EQ(parsed.find("computed")->as_int(), 6);
+    EXPECT_EQ(call(service, "GET", "/campaigns/18446744073709551617").status, 404)
+        << "2^64+1 must not wrap around to campaign 1";
 
     const HttpResponse listing = call(service, "GET", "/campaigns");
     ASSERT_EQ(listing.status, 200);
@@ -612,6 +614,12 @@ TEST(Service, LoopbackSocketEndToEnd) {
 
     const std::string garbage = http_exchange(server.port(), "complete nonsense\r\n\r\n");
     EXPECT_NE(garbage.find("HTTP/1.1 400 Bad Request"), std::string::npos);
+    for (const char* length : {"-1", "0junk", "18446744073709551617"}) {
+        const std::string refused = http_exchange(
+            server.port(), std::string("GET /healthz HTTP/1.1\r\nContent-Length: ") + length +
+                               "\r\n\r\n");
+        EXPECT_NE(refused.find("HTTP/1.1 400 Bad Request"), std::string::npos) << length;
+    }
 
     server.stop();
     loop.join();
@@ -672,6 +680,59 @@ TEST(Service, ShortBodyIsRefusedAndAResetPeerCannotKillTheServer) {
     server.stop();
     loop.join();
     EXPECT_EQ(call(service, "GET", "/campaigns/1").status, 404);  // nothing was submitted
+}
+
+/// Reads until the server closes `fd` or 5 s pass without a byte, so a
+/// server that never answers fails the test instead of hanging it.
+std::string read_reply(int fd) {
+    const timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    std::string response;
+    char buf[4096];
+    for (ssize_t n; (n = ::read(fd, buf, sizeof(buf))) > 0;)
+        response.append(buf, static_cast<std::size_t>(n));
+    return response;
+}
+
+// The loop is serial: a peer that connects and sends nothing, and one
+// that stops mid-head, are each answered 400 at the 1 s request deadline
+// instead of holding every later client off until they close.
+TEST(Service, IdlePeersCannotStallTheServer) {
+    const ScratchDir dir("service_idle");
+    ServiceOptions options;
+    options.cache_dir = dir.path() + "/cache";
+    CampaignService service(options);
+    HttpServer server(0);
+    std::thread loop([&] {
+        server.serve_forever(
+            [&](const HttpRequest& request) { return service.handle(request); });
+    });
+    const int idle = connect_loopback(server.port());
+    const int half = connect_loopback(server.port());
+    const std::string partial = "GET /heal";
+    EXPECT_EQ(::write(half, partial.data(), partial.size()),
+              static_cast<ssize_t>(partial.size()));
+
+    const auto start = std::chrono::steady_clock::now();
+    const int fd = connect_loopback(server.port());
+    const std::string request = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+    EXPECT_EQ(::write(fd, request.data(), request.size()),
+              static_cast<ssize_t>(request.size()));
+    const std::string health = read_reply(fd);
+    const std::chrono::duration<double> waited = std::chrono::steady_clock::now() - start;
+    EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos)
+        << "no /healthz answer behind two stalled peers";
+    EXPECT_LT(waited.count(), 4.0) << "two 1 s deadlines plus slack";
+    EXPECT_NE(read_reply(idle).find("HTTP/1.1 400 Bad Request"), std::string::npos);
+    EXPECT_NE(read_reply(half).find("HTTP/1.1 400 Bad Request"), std::string::npos);
+
+    // Close the stalled peers before stopping, so a server without the
+    // deadline still gets out of its read() and the join returns.
+    ::close(fd);
+    ::close(idle);
+    ::close(half);
+    server.stop();
+    loop.join();
 }
 
 } // namespace

@@ -5,12 +5,12 @@
 // m = 2 / n = 2 grids where neighbor slots alias.
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
 #include "core/sim/active_engine.hpp"
 #include "core/sim/bitplane_engine.hpp"
 #include "core/sim/kernels.hpp"
 #include "core/sim/packed_engine.hpp"
 #include "core/sim/sweep.hpp"
+#include "core/sync_engine.hpp"
 #include "rules/incremental.hpp"
 #include "rules/majority.hpp"
 #include "rules/threshold.hpp"
@@ -43,7 +43,7 @@ TEST(SimKernels, BranchlessKernelMatchesSmpDecideExhaustively) {
                 for (Color c = 1; c <= 5; ++c) {
                     for (Color d = 1; d <= 5; ++d) {
                         const std::array<Color, grid::kDegree> nbr{a, b, c, d};
-                        ASSERT_EQ(sim::smp_next(own, a, b, c, d), smp_update(own, nbr))
+                        ASSERT_EQ(sim::SmpRule::next(own, a, b, c, d), smp_update(own, nbr))
                             << "own=" << int(own) << " nbr=" << int(a) << int(b) << int(c)
                             << int(d);
                     }

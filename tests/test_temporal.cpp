@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builders.hpp"
-#include "core/engine.hpp"
+#include "core/run/simulate.hpp"
 #include "graph/temporal.hpp"
 
 namespace dynamo::graphx {
@@ -19,9 +19,9 @@ TEST(Temporal, FullAvailabilityMatchesTheStaticEngine) {
         Torus t(topo, 7, 6);
         const Configuration cfg = build_minimum_dynamo(t);
 
-        SimulationOptions sopts;
+        RunOptions sopts;
         sopts.target = cfg.k;
-        const Trace stat = simulate(t, cfg.field, sopts);
+        const RunResult stat = simulate(t, cfg.field, sopts);
 
         TemporalOptions topts;
         topts.edge_up = 1.0;
@@ -48,7 +48,7 @@ TEST(Temporal, FullAvailabilityFixedPointStopsExactly) {
     for (std::uint32_t r = 0; r < 6; ++r) {
         for (std::uint32_t c = 0; c < 6; ++c) bands[r * 6 + c] = r < 3 ? 1 : 2;
     }
-    const Trace stat = simulate(t, bands);
+    const RunResult stat = simulate(t, bands);
     ASSERT_EQ(stat.termination, Termination::FixedPoint);
 
     TemporalOptions opts;
@@ -119,8 +119,8 @@ TEST(Temporal, DynamoStillFloodsUnderHighAvailability) {
     opts.max_rounds = 4000;
     const TemporalTrace trace = simulate_temporal(t, cfg.field, opts);
     EXPECT_TRUE(trace.reached_mono(cfg.k));
-    SimulationOptions sopts;
-    const Trace stat = simulate(t, cfg.field, sopts);
+    RunOptions sopts;
+    const RunResult stat = simulate(t, cfg.field, sopts);
     EXPECT_GE(trace.rounds, stat.rounds);
 }
 

@@ -5,6 +5,7 @@
 
 #include "analysis/wavefront.hpp"
 #include "core/builders.hpp"
+#include "core/run/simulate.hpp"
 
 namespace dynamo::analysis {
 namespace {
@@ -12,8 +13,8 @@ namespace {
 using grid::Topology;
 using grid::Torus;
 
-Trace traced_run(const Torus& t, const Configuration& cfg) {
-    SimulationOptions opts;
+RunResult traced_run(const Torus& t, const Configuration& cfg) {
+    RunOptions opts;
     opts.target = cfg.k;
     return simulate(t, cfg.field, opts);
 }
@@ -21,7 +22,7 @@ Trace traced_run(const Torus& t, const Configuration& cfg) {
 TEST(Wavefront, AccountingMatchesTheTrace) {
     Torus t(Topology::ToroidalMesh, 9, 9);
     const Configuration cfg = build_theorem2_configuration(t);
-    const Trace trace = traced_run(t, cfg);
+    const RunResult trace = traced_run(t, cfg);
     const WavefrontStats s = wavefront_stats(trace);
     EXPECT_EQ(s.seeds, cfg.seeds.size());
     EXPECT_EQ(s.total_adopted, t.size() - cfg.seeds.size());
@@ -37,7 +38,7 @@ TEST(Wavefront, MeshDiamondWaveIsUnimodal) {
     // one peak in the middle of the run.
     Torus t(Topology::ToroidalMesh, 11, 11);
     const Configuration cfg = build_full_cross_configuration(t);
-    const Trace trace = traced_run(t, cfg);
+    const RunResult trace = traced_run(t, cfg);
     EXPECT_TRUE(front_is_unimodal(trace));
     const WavefrontStats s = wavefront_stats(trace);
     EXPECT_GT(s.peak_round, 1u);
@@ -49,7 +50,7 @@ TEST(Wavefront, SpiralWaveAdvancesAtConstantSpeed) {
     // bulk of the run (the Theorem 8 proof's picture).
     Torus t(Topology::TorusCordalis, 9, 9);
     const Configuration cfg = build_theorem4_configuration(t);
-    const Trace trace = traced_run(t, cfg);
+    const RunResult trace = traced_run(t, cfg);
     std::size_t twos = 0, active = 0;
     for (std::uint32_t r = 1; r < trace.newly_k.size(); ++r) {
         if (trace.newly_k[r] == 0) continue;
@@ -64,7 +65,7 @@ TEST(Wavefront, SpiralWaveAdvancesAtConstantSpeed) {
 TEST(Wavefront, CumulativeShareIsMonotoneAndEndsAtOne) {
     Torus t(Topology::TorusSerpentinus, 8, 7);
     const Configuration cfg = build_minimum_dynamo(t);
-    const Trace trace = traced_run(t, cfg);
+    const RunResult trace = traced_run(t, cfg);
     const std::vector<double> shares = cumulative_k_share(trace, t.size());
     ASSERT_FALSE(shares.empty());
     for (std::size_t r = 1; r < shares.size(); ++r) EXPECT_GE(shares[r], shares[r - 1]);
@@ -76,7 +77,7 @@ TEST(Wavefront, CumulativeShareIsMonotoneAndEndsAtOne) {
 TEST(Wavefront, RequiresTrackedTraces) {
     Torus t(Topology::ToroidalMesh, 5, 5);
     const Configuration cfg = build_theorem2_configuration(t);
-    const Trace untracked = simulate(t, cfg.field);  // no target
+    const RunResult untracked = simulate(t, cfg.field);  // no target
     EXPECT_THROW(wavefront_stats(untracked), std::invalid_argument);
 }
 
